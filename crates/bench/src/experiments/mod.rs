@@ -5,7 +5,7 @@
 //! its sweep as a structured [`crate::exp::Report`] — the text/JSON
 //! goldens under `results/` are produced from these modules by the
 //! `experiments` binary (see [`crate::exp`] for the `--check`/`--bless`
-//! workflow), and the historical `e*`/`perf_*` binaries delegate here.
+//! workflow).
 
 use crate::exp::Experiment;
 
@@ -71,21 +71,12 @@ mod tests {
     use crate::exp::Mode;
 
     #[test]
-    fn ids_are_unique_and_match_bin_names() {
+    fn ids_are_unique() {
         let ids: Vec<&str> = registry().iter().map(|e| e.id()).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len(), "duplicate experiment id");
-        // Every id is a bin target of this crate (thin wrapper), so the
-        // documented `cargo run --bin <id>` invocations keep working.
-        for id in &ids {
-            let path = format!("{}/src/bin/{id}.rs", env!("CARGO_MANIFEST_DIR"));
-            assert!(
-                std::path::Path::new(&path).exists(),
-                "registered id {id:?} has no matching bin wrapper at {path}"
-            );
-        }
     }
 
     #[test]

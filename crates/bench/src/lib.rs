@@ -3,17 +3,15 @@
 //! Every experiment lives behind the registry in [`experiments`] (one
 //! module per paper claim, all implementing [`exp::Experiment`]) and is
 //! driven by the unified `experiments` binary — `--list`, `--filter`,
-//! `--smoke`, `--json`, `--check`, `--bless`; see [`exp`]. The
-//! historical per-experiment binaries under `src/bin/` are thin
-//! wrappers over the same registry, so documented invocations and the
-//! `results/` goldens' provenance keep working. Dependency-free
+//! `--smoke`, `--json`, `--check`, `--bless`; see [`exp`]. A single
+//! experiment runs as `experiments --filter <id>`. Dependency-free
 //! micro-benchmarks live under `benches/` (plain `harness = false`
 //! mains timed with [`stopwatch`]).
 //!
 //! The experiment index (tested against the registry — see
 //! `experiments::tests`):
 //!
-//! | id / binary | claim |
+//! | id | claim |
 //! |---|---|
 //! | `e1_lower_bound` | Theorem 5 / Figure 1: `r = Θ(log₃(n/f))`, Lemma 2 & 4 |
 //! | `e2_writer_rmr` | Lemma 17: writer passage `Θ(f(n))` RMRs |

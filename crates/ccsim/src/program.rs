@@ -173,10 +173,10 @@ pub trait Program: Send {
     /// * **Concrete** ([`crate::Sim::fingerprint`]) — the digest is fed
     ///   through a process-index-seeded hash, so it may freely encode
     ///   process ids or absolute variable ids.
-    /// * **Canonical** ([`crate::Sim::fingerprint_canonical`]) — for
+    /// * **Canonical** ([`crate::Sim::canonical_vec`]) — for
     ///   processes declared interchangeable in a
-    ///   [`crate::SymmetryClass`], the digest is combined **index-free**
-    ///   into a sorted multiset; it must then be identical for any two
+    ///   [`crate::SymmetryClass`], the digest is serialized **index-free**
+    ///   into a sorted member bundle; it must then be identical for any two
     ///   members in swapped local states (no process ids, no
     ///   member-distinguishing variable ids — member-owned values are
     ///   instead canonicalized via the class's owned slices).

@@ -12,15 +12,12 @@
 //! scheme of parallel SPIN) — subtree-sized work units, handed out from
 //! the root end where they are biggest.
 //!
-//! Deduplication goes through a [`crate::visited::Visited`] backend —
-//! 64 mutex-striped shards selected by the top bits of the state key
-//! (or of the state vector's hash), so concurrent inserts rarely
-//! contend. The key discipline is chosen by
+//! Deduplication goes through the shared [`crate::visited::Visited`]
+//! set — 64 mutex-striped shards selected by the top bits of the state
+//! key, so concurrent inserts rarely contend. The key is chosen by
 //! [`crate::CheckConfig::symmetry`] — concrete O(1) incremental keys,
-//! symmetry-quotient canonical keys, or the full-rehash SipHash
-//! baseline the perf suite measures against — and the storage by
-//! [`crate::CheckConfig::backend`]: hashed digests or canonical state
-//! vectors in the LDD set store.
+//! symmetry-quotient canonical-vector keys, or the full-rehash SipHash
+//! baseline the perf suite measures against.
 //!
 //! ## Determinism
 //!
@@ -41,10 +38,10 @@
 //! order among the shortest — independent of worker count or timing.
 //! Shrink/replay artifacts built from it are therefore reproducible.
 
-use crate::visited::{self, Visited};
+use crate::visited::Visited;
 use crate::{push_entries, Budgets, CheckConfig, CheckError, CheckReport, SchedEntry, Symmetry};
-use ccsim::{FxBuildHasher, Sim};
-use std::collections::{HashSet, VecDeque};
+use ccsim::Sim;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -79,8 +76,8 @@ struct Shared<'a> {
     cfg: &'a CheckConfig,
     quota: u64,
     workers: usize,
-    /// The visited-set backend for [`CheckConfig::symmetry`].
-    visited: &'a dyn Visited,
+    /// The visited set, keyed for [`CheckConfig::symmetry`].
+    visited: Visited,
     /// `cfg.symmetry == Symmetry::FullRehash`, cached: the baseline also
     /// disables the world-recycling pool.
     full: bool,
@@ -365,16 +362,15 @@ fn min_violation(
     let quota = cfg.passages_per_proc;
     let root = factory();
     let root_budgets = Budgets::of(cfg);
-    // BFS-local dedup, but through the *configured* key function: under
+    // A BFS-local visited set, keyed like the exploration's: under
     // Symmetry::Quotient each orbit is expanded once here too, and the
     // breadth-first level structure still yields a shortest violating
     // schedule on concrete states (a violation at concrete depth d has
     // its orbit reached at quotient depth <= d, because class
     // permutations map offered entries to offered entries).
-    let keys = visited::backend(cfg.symmetry, cfg.backend);
+    let visited = Visited::new(cfg.symmetry);
     let mut vscratch: Vec<u64> = Vec::new();
-    let mut visited: HashSet<u64, FxBuildHasher> = HashSet::default();
-    visited.insert(keys.key(&root, quota, root_budgets, &mut vscratch));
+    visited.insert(&root, quota, root_budgets, &mut vscratch);
     let mut level: Vec<(Sim, Vec<SchedEntry>, Budgets)> = vec![(root, Vec::new(), root_budgets)];
     let mut entries: Vec<SchedEntry> = Vec::new();
 
@@ -404,9 +400,7 @@ fn min_violation(
                         fingerprint: child.fingerprint(),
                     };
                 }
-                if visited.insert(keys.key(&child, quota, nb, &mut vscratch))
-                    && sched.len() < cfg.max_depth
-                {
+                if visited.insert(&child, quota, nb, &mut vscratch) && sched.len() < cfg.max_depth {
                     next_level.push((child, sched, nb));
                 }
             }
@@ -464,12 +458,11 @@ pub fn explore_par_with(
     let root = factory();
     let quota = cfg.passages_per_proc;
     let root_budgets = Budgets::of(cfg);
-    let backend = visited::backend(cfg.symmetry, cfg.backend);
     let sh = Shared {
         cfg,
         quota,
         workers,
-        visited: &*backend,
+        visited: Visited::new(cfg.symmetry),
         full: cfg.symmetry == Symmetry::FullRehash,
         queue: Mutex::new(VecDeque::new()),
         ready: Condvar::new(),
