@@ -23,6 +23,13 @@
 //! timing columns. The sharded-vs-single floor only binds at >= 8 CPUs;
 //! below that the check renders a stable "skipped: fewer than 8 CPUs"
 //! string so goldens blessed on small hosts byte-match CI runners.
+//!
+//! Full mode also gates a check that binds on any host class: the
+//! single-thread passage cost. The `a_f` solo read pass, built through
+//! the registry at 2 readers, must cost at most [`SOLO_READ_BOUND`]
+//! times the `busy-forbidden` yardstick's, median of interleaved
+//! batches. Both sides run on one thread, so the ratio needs no spare
+//! CPUs, and it lands in `BENCH_locks.json` with the host's `ncpu`.
 
 use super::prelude::*;
 use crate::exp::bench_scenarios;
@@ -33,7 +40,7 @@ use crate::throughput::{
 use crate::{par, pin};
 use rwcore::NamedScenario;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Wall-clock budget per full-mode cell.
 const FULL_CELL: Duration = Duration::from_millis(150);
@@ -43,6 +50,13 @@ const SEED: u64 = 0x10C5;
 /// Hard cap on OS threads per cell (oversubscribed scenarios multiply
 /// the base count).
 const MAX_THREADS: usize = 64;
+/// Interleaved batches per solo passage-cost measurement; the median
+/// batch counts.
+const SOLO_BATCHES: usize = 21;
+/// Read passages per solo batch.
+const SOLO_CALLS: u32 = 20_000;
+/// The single-thread gate: `a_f` solo read pass over `busy-forbidden`'s.
+const SOLO_READ_BOUND: f64 = 2.0;
 
 /// A measured cell: one lock under one scenario.
 struct Cell {
@@ -98,6 +112,31 @@ fn find_lock(locks: &[Arc<dyn RealLock>], name: &str) -> Arc<dyn RealLock> {
         .clone()
 }
 
+/// Median ns per solo read passage of reader 0 for each of `names`,
+/// built through the registry at 2 readers. Batches alternate between
+/// the locks, so host drift hits every lock alike.
+fn solo_read_pass_ns(names: &[&str]) -> Vec<f64> {
+    let registry = contended_contenders(2, 1);
+    let locks: Vec<_> = names.iter().map(|n| find_lock(&registry, n)).collect();
+    let mut batches = vec![Vec::with_capacity(SOLO_BATCHES); locks.len()];
+    for _ in 0..SOLO_BATCHES {
+        for (lock, ns) in locks.iter().zip(&mut batches) {
+            let t0 = Instant::now();
+            for _ in 0..SOLO_CALLS {
+                lock.read_pass(0);
+            }
+            ns.push(t0.elapsed().as_nanos() as f64 / f64::from(SOLO_CALLS));
+        }
+    }
+    batches
+        .into_iter()
+        .map(|mut ns| {
+            ns.sort_by(f64::total_cmp);
+            ns[SOLO_BATCHES / 2]
+        })
+        .collect()
+}
+
 /// Registry entry for the contended lock lab.
 pub(crate) struct PerfLocks;
 
@@ -121,9 +160,7 @@ impl Experiment for PerfLocks {
     }
 
     fn run(&self, ctx: &Ctx) -> Report {
-        let ncpu = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
+        let ncpu = par::ncpu();
         let mut report = Report::new(self, ctx);
         let mut notes: Vec<String> = Vec::new();
 
@@ -321,6 +358,26 @@ fn run_full(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
         ));
     }
 
+    // The single-thread passage-cost gate: binds on every host class.
+    let solo = solo_read_pass_ns(&["a_f", "busy-forbidden"]);
+    let (af_ns, bf_ns) = (solo[0], solo[1]);
+    let solo_ratio = af_ns / bf_ns.max(1e-9);
+    let mut table = Table::new(["lock", "read pass"]);
+    table.row(["a_f".to_string(), format!("{af_ns:.1}ns")]);
+    table.row(["busy-forbidden".to_string(), format!("{bf_ns:.1}ns")]);
+    report.section(
+        format!(
+            "solo read passage — 1 thread, 2 readers registered, median of {SOLO_BATCHES} interleaved batches x {SOLO_CALLS}"
+        ),
+        table,
+    );
+    report.check(Check::new(
+        "a_f solo read pass costs at most 2x the busy-forbidden yardstick's",
+        format!("<= {SOLO_READ_BOUND:.2}x busy-forbidden"),
+        format!("{solo_ratio:.2}x ({af_ns:.1}ns / {bf_ns:.1}ns, ncpu {ncpu})"),
+        solo_ratio <= SOLO_READ_BOUND,
+    ));
+
     // The JSON side artifact: one object per cell, plus sweep metadata.
     let unix_secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -369,11 +426,17 @@ fn run_full(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
         ),
         None => "{ \"checked\": false, \"read_mostly_sharded_over_single\": null }".to_string(),
     };
+    let solo_json = format!(
+        "{{ \"a_f_read_pass_ns\": {af_ns:.1}, \"busy_forbidden_read_pass_ns\": {bf_ns:.1}, \
+         \"ratio\": {solo_ratio:.2}, \"bound\": {SOLO_READ_BOUND:.1}, \"ncpu\": {ncpu}, \
+         \"held\": {} }}",
+        solo_ratio <= SOLO_READ_BOUND,
+    );
     let json = format!(
         "{{\n  \"experiment\": \"perf_locks\",\n  \"unix_timestamp\": {unix_secs},\n  \
          \"ncpu\": {ncpu},\n  \"threads\": {threads},\n  \
          \"shards_requested\": {shards_requested},\n  \"pinned\": {pin_ok},\n  \"cell_millis\": {},\n  \
-         \"floor\": {floor_json},\n  \"cells\": [\n{}\n  ]\n}}\n",
+         \"floor\": {floor_json},\n  \"solo_read_pass\": {solo_json},\n  \"cells\": [\n{}\n  ]\n}}\n",
         FULL_CELL.as_millis(),
         cell_json.join(",\n"),
     );

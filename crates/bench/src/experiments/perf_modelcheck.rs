@@ -499,7 +499,7 @@ impl Experiment for PerfModelcheck {
                 .unwrap_or(0);
             let json = format!(
                 "{{\n  \"experiment\": \"perf_modelcheck\",\n  \"unix_timestamp\": {unix_secs},\n  \
-                 \"workers\": {workers},\n  \"samples\": {samples},\n  \"workload\": \
+                 \"ncpu\": {},\n  \"workers\": {workers},\n  \"samples\": {samples},\n  \"workload\": \
                  \"{workload}\",\n  \"states\": {},\n  \
                  \"full_rehash_states_per_sec\": {full_sps:.0},\n  \
                  \"incremental_states_per_sec\": {inc_sps:.0},\n  \
@@ -536,6 +536,7 @@ impl Experiment for PerfModelcheck {
                  \"seconds\": {new_secs:.1},\n    \
                  \"wall_ceiling_seconds\": {NEWLY_FEASIBLE_WALL_CEILING_SECS:.0},\n    \
                  \"states_per_sec\": {:.0},\n    \"complete\": {}\n  }}\n}}\n",
+                par::ncpu(),
                 inc_report.states_explored,
                 off_report.visited.resident_bytes,
                 quo_report.visited.resident_bytes,

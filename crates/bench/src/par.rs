@@ -26,6 +26,14 @@ pub fn parse_bench_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
     Ok(parsed.map(|n| n as usize))
 }
 
+/// The host's CPU count as the OS reports it (1 when unknown): the host
+/// class every `BENCH_*.json` record is stamped with.
+pub fn ncpu() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+}
+
 /// Worker threads to use for `n_items` independent jobs: detected
 /// parallelism, capped by the `BENCH_THREADS` env var and by the job
 /// count itself.
@@ -34,9 +42,7 @@ pub fn parse_bench_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
 /// Panics with a clear message if `BENCH_THREADS` is set to anything
 /// other than a positive decimal integer (see [`parse_bench_threads`]).
 pub fn worker_count(n_items: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let hw = ncpu();
     let raw = crate::env::raw_var("BENCH_THREADS");
     let cap = match parse_bench_threads(raw.as_deref()) {
         Ok(Some(n)) => n,

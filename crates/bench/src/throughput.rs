@@ -234,9 +234,7 @@ pub fn run_contended(lock: Arc<dyn RealLock>, wl: &MixedWorkload) -> ContendedSa
     assert!(wl.threads > 0, "need at least one thread");
     let barrier = Arc::new(Barrier::new(wl.threads + 1));
     let stop = Arc::new(AtomicBool::new(false));
-    let ncpu = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let ncpu = crate::par::ncpu();
 
     let mut handles = Vec::with_capacity(wl.threads);
     for t in 0..wl.threads {

@@ -121,8 +121,11 @@ impl FArray {
         self.leaves[id].store(cur + delta, Ordering::SeqCst);
         // Double-refresh up the tree: if both attempts at a node fail, two
         // complete refreshes by others overlapped our interval, and the
-        // second one read our leaf update.
-        for x in self.shape.path_to_root(id) {
+        // second one read our leaf update. The walk is index arithmetic
+        // (node `x`, then `x / 2`, up to the root): `add` allocates nothing.
+        let leaf = self.shape.leaf_base() + id;
+        for pos in 0..self.shape.depth() as usize {
+            let x = self.shape.path_node(leaf, pos);
             if !self.refresh(x) {
                 self.refresh(x);
             }

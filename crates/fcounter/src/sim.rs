@@ -126,7 +126,6 @@ impl SimCounterHandle {
             counter: self.counter.clone(),
             leaf_heap: shape.leaf(self.leaf),
             new_leaf_value: self.mirror,
-            path: shape.path_to_root(self.leaf),
             pc: AddPc::WriteLeaf,
         }
     }
@@ -186,13 +185,17 @@ pub struct AddMachine {
     counter: SimCounter,
     leaf_heap: usize,
     new_leaf_value: i64,
-    path: Vec<usize>,
     pc: AddPc,
 }
 
 impl AddMachine {
+    /// The `path_pos`-th internal node on this add's leaf-to-root path.
+    fn node(&self, path_pos: usize) -> usize {
+        self.counter.shape.path_node(self.leaf_heap, path_pos)
+    }
+
     fn refresh_start(&self, path_pos: usize, round: u8) -> AddPc {
-        if path_pos >= self.path.len() {
+        if path_pos >= self.counter.shape.depth() as usize {
             debug_assert_eq!(round, 0);
             AddPc::Done
         } else {
@@ -200,10 +203,10 @@ impl AddMachine {
         }
     }
 
-    /// The two children of `path[path_pos]` in *read order*: own leaf
+    /// The two children of `node(path_pos)` in *read order*: own leaf
     /// first at the leaf level, left-then-right above it.
     fn children_in_read_order(&self, path_pos: usize) -> (usize, usize) {
-        let (l, r) = self.counter.shape.children(self.path[path_pos]);
+        let (l, r) = self.counter.shape.children(self.node(path_pos));
         if path_pos == 0 && r == self.leaf_heap {
             (r, l)
         } else {
@@ -220,7 +223,7 @@ impl SubMachine for AddMachine {
                 self.new_leaf_value,
             )),
             AddPc::ReadNode { path_pos, .. } => {
-                SubStep::Op(Op::Read(self.counter.var(self.path[*path_pos])))
+                SubStep::Op(Op::Read(self.counter.var(self.node(*path_pos))))
             }
             AddPc::ReadFirst { path_pos, .. } => {
                 let (first, _) = self.children_in_read_order(*path_pos);
@@ -236,7 +239,7 @@ impl SubMachine for AddMachine {
                 new,
                 ..
             } => SubStep::Op(Op::Cas {
-                var: self.counter.var(self.path[*path_pos]),
+                var: self.counter.var(self.node(*path_pos)),
                 expected: *expected,
                 new: *new,
             }),

@@ -74,19 +74,14 @@ impl TreeShape {
         (2 * x, 2 * x + 1)
     }
 
-    /// The internal nodes on the path from leaf `i`'s parent to the root,
-    /// bottom-up. Empty when the tree is a single leaf.
-    pub fn path_to_root(&self, i: usize) -> Vec<usize> {
-        let mut path = Vec::new();
-        let mut x = self.parent(self.leaf(i));
-        while x >= 1 {
-            path.push(x);
-            if x == 1 {
-                break;
-            }
-            x = self.parent(x);
-        }
-        path
+    /// The `pos`-th internal node on the path from the leaf at heap index
+    /// `leaf_heap` up to the root, counting bottom-up from the leaf's
+    /// parent (`pos == 0`). The path has [`TreeShape::depth`] nodes and
+    /// ends at the root; it is pure index arithmetic, so walking it
+    /// allocates nothing.
+    pub fn path_node(&self, leaf_heap: usize, pos: usize) -> usize {
+        debug_assert!(self.is_leaf(leaf_heap) && pos < self.depth() as usize);
+        leaf_heap >> (pos + 1)
     }
 
     /// Tree depth: number of internal levels (`log2(width)`).
@@ -99,6 +94,13 @@ impl TreeShape {
 mod tests {
     use super::*;
 
+    /// The whole leaf-to-root path of leaf `i`, bottom-up.
+    fn path(t: &TreeShape, i: usize) -> Vec<usize> {
+        (0..t.depth() as usize)
+            .map(|pos| t.path_node(t.leaf(i), pos))
+            .collect()
+    }
+
     #[test]
     fn single_leaf_tree() {
         let t = TreeShape::new(1);
@@ -106,7 +108,7 @@ mod tests {
         assert_eq!(t.leaf(0), 1);
         assert_eq!(t.root(), 1);
         assert!(t.is_leaf(t.root()), "root is the leaf when k = 1");
-        assert!(t.path_to_root(0).is_empty());
+        assert!(path(&t, 0).is_empty());
         assert_eq!(t.depth(), 0);
     }
 
@@ -118,24 +120,27 @@ mod tests {
         assert_eq!(t.leaf(0), 8);
         assert_eq!(t.leaf(4), 12);
         assert_eq!(t.depth(), 3);
+        assert_eq!(path(&t, 4), vec![6, 3, 1], "leaf 4 = node 12");
     }
 
     #[test]
     fn path_is_bottom_up_to_root() {
         let t = TreeShape::new(4);
-        assert_eq!(
-            t.path_to_root(3),
-            vec![3, 1],
-            "leaf 3 = node 7; parents 3, 1"
-        );
-        assert_eq!(t.path_to_root(0), vec![2, 1]);
+        assert_eq!(path(&t, 3), vec![3, 1], "leaf 3 = node 7; parents 3, 1");
+        assert_eq!(path(&t, 0), vec![2, 1]);
     }
 
     #[test]
     fn path_length_is_logarithmic() {
         for k in [1usize, 2, 3, 7, 8, 9, 64, 100, 512] {
             let t = TreeShape::new(k);
-            assert_eq!(t.path_to_root(0).len() as u32, t.depth());
+            for i in [0, k - 1] {
+                let p = path(&t, i);
+                assert_eq!(p.len() as u32, t.depth());
+                if let Some(&top) = p.last() {
+                    assert_eq!(top, t.root(), "k = {k}, leaf {i}");
+                }
+            }
         }
     }
 

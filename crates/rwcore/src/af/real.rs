@@ -40,6 +40,9 @@ use wmutex::{IdMutex, TournamentLock};
 #[derive(Debug)]
 pub struct RawAfLock {
     cfg: AfConfig,
+    /// Group size `K = cfg.group_size()`, computed once so a reader's
+    /// slot costs one division, not a policy evaluation.
+    k: usize,
     /// Non-empty reader groups (`g ≤ f(n)`, see [`AfConfig::occupied_groups`]).
     groups: usize,
     /// `C[i]`: readers of group i currently inside a passage (line 1).
@@ -66,6 +69,7 @@ impl RawAfLock {
         let groups = cfg.occupied_groups();
         RawAfLock {
             cfg,
+            k: cfg.group_size(),
             groups,
             c: (0..groups)
                 .map(|g| FArray::new(cfg.group_population(g)))
@@ -90,6 +94,20 @@ impl RawAfLock {
     /// Number of non-empty reader groups actually maintained.
     pub fn groups(&self) -> usize {
         self.groups
+    }
+
+    /// Reader `reader_id`'s `(group, leaf)`: the same static partition as
+    /// [`AfConfig::group_of`], without re-deriving `f(n)` per call.
+    ///
+    /// # Panics
+    /// Panics if `reader_id` is out of range.
+    fn slot(&self, reader_id: usize) -> (usize, usize) {
+        assert!(
+            reader_id < self.cfg.readers,
+            "reader id {reader_id} out of range (n = {})",
+            self.cfg.readers
+        );
+        (reader_id / self.k, reader_id % self.k)
     }
 
     fn rsig(&self) -> Signal {
@@ -133,8 +151,7 @@ impl RawAfLock {
     /// # Panics
     /// Panics if `reader_id` is out of range.
     pub fn reader_lock(&self, reader_id: usize) {
-        let slot = self.cfg.group_of(reader_id);
-        let (i, leaf) = (slot.group, slot.leaf);
+        let (i, leaf) = self.slot(reader_id);
         self.c[i].add(leaf, 1); // line 31
         let sig = self.rsig(); // line 32
         if sig.op == Opcode::Wait {
@@ -161,8 +178,7 @@ impl RawAfLock {
     /// # Panics
     /// Panics if `reader_id` is out of range.
     pub fn try_reader_lock(&self, reader_id: usize, spins: u64) -> bool {
-        let slot = self.cfg.group_of(reader_id);
-        let (i, leaf) = (slot.group, slot.leaf);
+        let (i, leaf) = self.slot(reader_id);
         self.c[i].add(leaf, 1); // line 31
         let sig = self.rsig(); // line 32
         if sig.op == Opcode::Wait {
@@ -192,8 +208,7 @@ impl RawAfLock {
     /// # Panics
     /// Panics if `reader_id` is out of range.
     pub fn reader_unlock(&self, reader_id: usize) {
-        let slot = self.cfg.group_of(reader_id);
-        let (i, leaf) = (slot.group, slot.leaf);
+        let (i, leaf) = self.slot(reader_id);
         self.c[i].add(leaf, -1); // line 40
         let sig = self.rsig(); // line 41
         match sig.op {
@@ -514,6 +529,20 @@ mod tests {
         released.store(true, Ordering::SeqCst);
         lock.writer_unlock(0);
         t.join().unwrap();
+    }
+
+    #[test]
+    fn slots_match_the_config_partition() {
+        for n in [1usize, 2, 5, 8, 64] {
+            for policy in FPolicy::NAMED {
+                let cfg = AfConfig::new(n, 1).with_policy(policy);
+                let lock = RawAfLock::new(cfg);
+                for r in 0..n {
+                    let slot = cfg.group_of(r);
+                    assert_eq!(lock.slot(r), (slot.group, slot.leaf), "{policy} n={n}");
+                }
+            }
+        }
     }
 
     #[test]
