@@ -30,6 +30,10 @@
 //! times the `busy-forbidden` yardstick's, median of interleaved
 //! batches. Both sides run on one thread, so the ratio needs no spare
 //! CPUs, and it lands in `BENCH_locks.json` with the host's `ncpu`.
+//!
+//! So does the oversubscribed-tail gate: the `a_f` write p99 in the
+//! `oversubscribed` scenario stays below [`OVERSUB_WRITE_P99_BOUND_NS`].
+//! A spin-wait that needs its releaser scheduled misses it by quanta.
 
 use super::prelude::*;
 use crate::exp::bench_scenarios;
@@ -57,6 +61,10 @@ const SOLO_BATCHES: usize = 21;
 const SOLO_CALLS: u32 = 20_000;
 /// The single-thread gate: `a_f` solo read pass over `busy-forbidden`'s.
 const SOLO_READ_BOUND: f64 = 2.0;
+/// The oversubscribed-tail gate: `a_f` write p99 in ns.
+const OVERSUB_WRITE_P99_BOUND_NS: u64 = 1_000_000;
+/// Printed beside the gated `a_f` oversubscribed write p99, ungated.
+const OVERSUB_SHOWN: [&str; 3] = ["a_f-gated", "a_f-sharded", "busy-forbidden"];
 
 /// A measured cell: one lock under one scenario.
 struct Cell {
@@ -378,6 +386,30 @@ fn run_full(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
         solo_ratio <= SOLO_READ_BOUND,
     ));
 
+    // The oversubscribed-tail gate: binds on every host class.
+    let oversub_p99 = |lock: &str| {
+        cells
+            .iter()
+            .find(|c| c.scenario == "oversubscribed" && c.sample.lock == lock)
+            .and_then(|c| c.sample.write_hist.quantile(0.99))
+    };
+    let af_p99 = oversub_p99("a_f");
+    let bound = format!("< {}", format_ns(OVERSUB_WRITE_P99_BOUND_NS));
+    let show = |p99: Option<u64>| p99.map_or_else(|| "-".to_string(), format_ns);
+    let mut table = Table::new(["lock", "w p99", "gate"]);
+    table.row(["a_f".to_string(), show(af_p99), bound.clone()]);
+    for lock in OVERSUB_SHOWN {
+        table.row([lock.to_string(), show(oversub_p99(lock)), "-".to_string()]);
+    }
+    report.section("oversubscribed write tail (ungated beside a_f)", table);
+    let tail_held = af_p99.is_some_and(|ns| ns < OVERSUB_WRITE_P99_BOUND_NS);
+    report.check(Check::new(
+        "a_f write p99 under oversubscription stays below 1ms",
+        bound,
+        format!("{} (ncpu {ncpu})", show(af_p99)),
+        tail_held,
+    ));
+
     // The JSON side artifact: one object per cell, plus sweep metadata.
     let unix_secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -432,11 +464,16 @@ fn run_full(report: &mut Report, notes: &mut Vec<String>, ncpu: usize) {
          \"held\": {} }}",
         solo_ratio <= SOLO_READ_BOUND,
     );
+    let tail_json = format!(
+        "{{ \"a_f_write_p99_ns\": {}, \"bound_ns\": {OVERSUB_WRITE_P99_BOUND_NS}, \"held\": {tail_held} }}",
+        af_p99.map_or_else(|| "null".to_string(), |v| v.to_string()),
+    );
     let json = format!(
         "{{\n  \"experiment\": \"perf_locks\",\n  \"unix_timestamp\": {unix_secs},\n  \
          \"ncpu\": {ncpu},\n  \"threads\": {threads},\n  \
          \"shards_requested\": {shards_requested},\n  \"pinned\": {pin_ok},\n  \"cell_millis\": {},\n  \
-         \"floor\": {floor_json},\n  \"solo_read_pass\": {solo_json},\n  \"cells\": [\n{}\n  ]\n}}\n",
+         \"floor\": {floor_json},\n  \"solo_read_pass\": {solo_json},\n  \
+         \"oversubscribed_write_tail\": {tail_json},\n  \"cells\": [\n{}\n  ]\n}}\n",
         FULL_CELL.as_millis(),
         cell_json.join(",\n"),
     );

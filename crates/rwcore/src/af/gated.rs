@@ -3,17 +3,21 @@
 //! `A_f` writers can starve under a continuous stream of readers: the
 //! PREENTRY handshake needs a moment with `C[i] = 0`, and fresh readers
 //! keep the counters positive. This variant adds a single *gate*
-//! variable, owned by whichever writer holds `WL`:
+//! variable in front of the `A_f` protocol:
 //!
-//! * the `WL` holder writes `GATE := 1` immediately after acquiring `WL`
-//!   and `GATE := 0` in its exit section (before `WL.Exit`);
+//! * a writer writes `GATE := 1` at the start of its entry section,
+//!   *before* it competes for `WL`, and `GATE := 0` at the start of its
+//!   exit section (before the `A_f` exit and `WL.Exit`);
 //! * readers spin on `GATE = 0` *before* their `A_f` entry section
 //!   (before line 31's `C[i].add(1)`).
 //!
-//! Because only the current `WL` holder writes the gate, plain writes
-//! suffice (no counter needed), and because readers are held *outside*
-//! the `A_f` protocol, every `A_f` invariant — and therefore Mutual
-//! Exclusion — is untouched; the model checker confirms it exhaustively.
+//! The gate is a bias, not a count. Every writer writes it, queued ones
+//! included, and a finishing writer clears it even while another writer
+//! waits on `WL` — so the second of two back-to-back writers runs with
+//! `GATE = 0`. None of that touches safety: readers are held *outside*
+//! the `A_f` protocol, so every `A_f` invariant — and therefore Mutual
+//! Exclusion — is untouched whatever the gate says; the model checker
+//! confirms it exhaustively.
 //!
 //! **The trade:** the writer's group-drain completes as fast as the
 //! in-flight readers exit, but Lemma 16 is lost — an adversarial schedule
@@ -31,6 +35,7 @@ use ccsim::{Layout, Memory, Op, Phase, Program, Protocol, Role, Sim, Step, Value
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use wmutex::{wait_until, Budget};
 
 /// The real-atomics writer-biased lock: [`RawAfLock`] plus the gate.
 #[derive(Debug)]
@@ -59,9 +64,7 @@ impl GatedAfLock {
     /// Reader entry: wait out any active writer at the gate, then run the
     /// `A_f` entry section.
     pub fn reader_lock(&self, reader_id: usize) {
-        while self.gate.load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
+        wait_until(Budget::Unbounded, || self.gate.load(Ordering::SeqCst) == 0);
         self.inner.reader_lock(reader_id);
     }
 
@@ -70,16 +73,13 @@ impl GatedAfLock {
         self.inner.reader_unlock(reader_id);
     }
 
-    /// Writer entry: acquire `WL`, raise the gate, then run the rest of
-    /// the `A_f` entry section.
+    /// Writer entry: raise the gate, then run the `A_f` entry section
+    /// (which starts by acquiring `WL`).
     pub fn writer_lock(&self, writer_id: usize) {
-        // RawAfLock::writer_lock begins with WL.lock; we need the gate
-        // raised between WL acquisition and the PREENTRY phase. The raw
-        // lock doesn't expose that seam, so the gate is raised *before*
-        // WL here: pending writers bias readers away even while queued,
-        // which only strengthens the writer preference (the gate is
-        // cleared by the writer that finishes, so it stays 1 as long as
-        // any writer is inside or queued-and-first).
+        // Raised before WL, so a queued writer already biases readers
+        // away. A finishing writer clears it even if another is queued on
+        // WL, so the gate is a hint: it does not stay 1 across
+        // back-to-back writer passages.
         self.gate.store(1, Ordering::SeqCst);
         self.inner.writer_lock(writer_id);
     }

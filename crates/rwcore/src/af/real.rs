@@ -11,7 +11,7 @@ use crate::config::AfConfig;
 use crate::sig::{Opcode, Signal};
 use fcounter::FArray;
 use std::sync::atomic::{AtomicU64, Ordering};
-use wmutex::{IdMutex, TournamentLock};
+use wmutex::{wait_until, Budget, IdMutex, TournamentLock};
 
 /// The raw (data-less) `A_f` lock: entry/exit sections for registered
 /// reader and writer process ids.
@@ -151,19 +151,7 @@ impl RawAfLock {
     /// # Panics
     /// Panics if `reader_id` is out of range.
     pub fn reader_lock(&self, reader_id: usize) {
-        let (i, leaf) = self.slot(reader_id);
-        self.c[i].add(leaf, 1); // line 31
-        let sig = self.rsig(); // line 32
-        if sig.op == Opcode::Wait {
-            // lines 33–38: a writer demands we wait for its passage `sig.seq`.
-            self.w[i].add(leaf, 1); // line 34
-            self.help_wcs(sig.seq, i); // line 35
-            let wait_word = Signal::new(sig.seq, Opcode::Wait).pack();
-            while self.rsig.load(Ordering::SeqCst) == wait_word {
-                std::hint::spin_loop(); // line 36 (WSEQ never repeats: ≤2 RMRs)
-            }
-            self.w[i].add(leaf, -1); // line 37
-        }
+        self.try_reader_lock_with(reader_id, Budget::Unbounded);
     }
 
     /// Bounded reader entry: like [`RawAfLock::reader_lock`], but give up
@@ -178,25 +166,30 @@ impl RawAfLock {
     /// # Panics
     /// Panics if `reader_id` is out of range.
     pub fn try_reader_lock(&self, reader_id: usize, spins: u64) -> bool {
+        self.try_reader_lock_with(reader_id, Budget::Spins(spins))
+    }
+
+    /// The reader entry section (lines 31–38), waiting at line 36 within
+    /// `budget` and withdrawing on timeout as [`RawAfLock::try_reader_lock`]
+    /// describes.
+    #[inline]
+    pub(crate) fn try_reader_lock_with(&self, reader_id: usize, budget: Budget) -> bool {
         let (i, leaf) = self.slot(reader_id);
         self.c[i].add(leaf, 1); // line 31
         let sig = self.rsig(); // line 32
         if sig.op == Opcode::Wait {
+            // lines 33–38: a writer demands we wait for its passage `sig.seq`.
             self.w[i].add(leaf, 1); // line 34
             self.help_wcs(sig.seq, i); // line 35
             let wait_word = Signal::new(sig.seq, Opcode::Wait).pack();
-            let mut remaining = spins;
-            while self.rsig.load(Ordering::SeqCst) == wait_word {
-                if remaining == 0 {
-                    // Withdraw: W first (preserving the C ≥ W invariant),
-                    // then the whole exit section — its helping duties
-                    // make sure the writer we abandoned is not stranded.
-                    self.w[i].add(leaf, -1);
-                    self.reader_unlock(reader_id);
-                    return false;
-                }
-                remaining -= 1;
-                std::hint::spin_loop();
+            // line 36 (WSEQ never repeats: ≤2 RMRs)
+            if !wait_until(budget, || self.rsig.load(Ordering::SeqCst) != wait_word) {
+                // Withdraw: W first (preserving the C ≥ W invariant), then
+                // the whole exit section — its helping duties make sure
+                // the writer we abandoned is not stranded.
+                self.w[i].add(leaf, -1);
+                self.reader_unlock(reader_id);
+                return false;
             }
             self.w[i].add(leaf, -1); // line 37
         }
@@ -232,41 +225,7 @@ impl RawAfLock {
     /// # Panics
     /// Panics if `writer_id` is out of range.
     pub fn writer_lock(&self, writer_id: usize) {
-        self.wl.lock(writer_id); // line 6
-        let seq = self.wseq.load(Ordering::SeqCst);
-        // Lines 7–9: arm WSIG[i] for this passage.
-        for i in 0..self.groups {
-            self.wsig[i].store(Signal::new(seq, Opcode::Bot).pack(), Ordering::SeqCst);
-        }
-        // Line 11: ask exiting readers to report empty groups.
-        self.rsig
-            .store(Signal::new(seq, Opcode::Preentry).pack(), Ordering::SeqCst);
-        // Lines 12–17: verify no readers are still waiting on a previous
-        // passage, group by group.
-        for i in 0..self.groups {
-            if self.c[i].read() > 0 {
-                // line 14
-                let proceed = Signal::new(seq, Opcode::Proceed);
-                while self.wsig(i) != proceed {
-                    std::hint::spin_loop();
-                }
-            }
-            // line 16
-            self.wsig[i].store(Signal::new(seq, Opcode::Wait).pack(), Ordering::SeqCst);
-        }
-        // Line 18: from now on, arriving readers wait for us.
-        self.rsig
-            .store(Signal::new(seq, Opcode::Wait).pack(), Ordering::SeqCst);
-        // Lines 19–23: wait for in-flight readers to clear the CS.
-        for i in 0..self.groups {
-            if self.c[i].read() > 0 {
-                // line 21
-                let cs = Signal::new(seq, Opcode::Cs);
-                while self.wsig(i) != cs {
-                    std::hint::spin_loop();
-                }
-            }
-        }
+        self.try_writer_lock_with(writer_id, Budget::Unbounded);
     }
 
     /// Bounded writer entry: like [`RawAfLock::writer_lock`], but spend at
@@ -282,47 +241,56 @@ impl RawAfLock {
     /// # Panics
     /// Panics if `writer_id` is out of range.
     pub fn try_writer_lock(&self, writer_id: usize, spins: u64) -> bool {
-        if !self.wl.try_lock(writer_id, spins) {
+        self.try_writer_lock_with(writer_id, Budget::Spins(spins))
+    }
+
+    /// The writer entry section (lines 6–23), waiting within `budget` in
+    /// each wait loop (a spin budget counts per loop, a deadline spans the
+    /// section) and withdrawing on timeout as
+    /// [`RawAfLock::try_writer_lock`] describes.
+    #[inline]
+    pub(crate) fn try_writer_lock_with(&self, writer_id: usize, budget: Budget) -> bool {
+        if !self.wl.try_lock_with(writer_id, budget) {
             return false; // line 6 timed out: no signal state touched yet
         }
         let seq = self.wseq.load(Ordering::SeqCst);
+        // Lines 7–9: arm WSIG[i] for this passage.
         for i in 0..self.groups {
             self.wsig[i].store(Signal::new(seq, Opcode::Bot).pack(), Ordering::SeqCst);
         }
+        // Line 11: ask exiting readers to report empty groups.
         self.rsig
             .store(Signal::new(seq, Opcode::Preentry).pack(), Ordering::SeqCst);
+        // Lines 12–17: verify no readers are still waiting on a previous
+        // passage, group by group.
         for i in 0..self.groups {
-            if self.c[i].read() > 0 {
-                let proceed = Signal::new(seq, Opcode::Proceed);
-                let mut remaining = spins;
-                while self.wsig(i) != proceed {
-                    if remaining == 0 {
-                        self.writer_unlock(writer_id); // burn epoch `seq`
-                        return false;
-                    }
-                    remaining -= 1;
-                    std::hint::spin_loop();
-                }
+            // line 14
+            if !self.await_group(i, Signal::new(seq, Opcode::Proceed), budget) {
+                self.writer_unlock(writer_id); // burn epoch `seq`
+                return false;
             }
+            // line 16
             self.wsig[i].store(Signal::new(seq, Opcode::Wait).pack(), Ordering::SeqCst);
         }
+        // Line 18: from now on, arriving readers wait for us.
         self.rsig
             .store(Signal::new(seq, Opcode::Wait).pack(), Ordering::SeqCst);
+        // Lines 19–23: wait for in-flight readers to clear the CS.
         for i in 0..self.groups {
-            if self.c[i].read() > 0 {
-                let cs = Signal::new(seq, Opcode::Cs);
-                let mut remaining = spins;
-                while self.wsig(i) != cs {
-                    if remaining == 0 {
-                        self.writer_unlock(writer_id); // burn epoch `seq`
-                        return false;
-                    }
-                    remaining -= 1;
-                    std::hint::spin_loop();
-                }
+            // line 21
+            if !self.await_group(i, Signal::new(seq, Opcode::Cs), budget) {
+                self.writer_unlock(writer_id); // burn epoch `seq`
+                return false;
             }
         }
         true
+    }
+
+    /// Lines 13–15 and 20–22: if group `i` has readers in a passage
+    /// (`C[i] > 0`), wait within `budget` for `WSIG[i]` to become `want`.
+    #[inline]
+    fn await_group(&self, i: usize, want: Signal, budget: Budget) -> bool {
+        self.c[i].read() == 0 || wait_until(budget, || self.wsig(i) == want)
     }
 
     /// Writer exit section (lines 25–27).

@@ -20,8 +20,8 @@
 //!   thundering herd of readers thus costs **one** counter-tree
 //!   traversal per batch instead of one per reader.
 //! * **Writer gate.** Writers serialize on a tournament mutex, raise a
-//!   per-shard *writer-pending* flag (plain writes, owned by the gate
-//!   holder — same argument as [`crate::GatedAfLock`]'s gate), then
+//!   per-shard *writer-pending* flag (plain writes suffice: only the
+//!   holder of the outer gate writes it), then
 //!   acquire every shard's `A_f` write lock **in fixed ascending shard
 //!   order**. Readers hold at most one shard and writers are serialized,
 //!   so the fixed order makes shard-acquisition deadlock impossible.
@@ -68,11 +68,11 @@
 //! cost `shards × Θ(f)` — the price of the sharded read path.
 
 use crate::af::real::RawAfLock;
-use crate::af::typed::DEADLINE_SPIN_SLICE;
 use crate::config::{AfConfig, FPolicy};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use wmutex::{IdMutex, TournamentLock};
+use std::time::Instant;
+use wmutex::{wait_until, Budget, IdMutex, TournamentLock};
 
 /// Member count mask of the gate word.
 const COUNT_MASK: u64 = (1 << 32) - 1;
@@ -81,19 +81,6 @@ const OPEN: u64 = 1 << 32;
 /// Gate flag: the last member is running the `A_f` exit; the shard is
 /// closed to new leaders until the gate returns to 0.
 const DRAIN: u64 = 1 << 33;
-
-/// Spin briefly, then start yielding: keeps oversubscribed hosts (more
-/// lab threads than CPUs) from burning whole scheduler quanta in a
-/// spin loop while the thread that would unblock us waits for a core.
-#[inline]
-fn backoff(spins: &mut u32) {
-    *spins = spins.saturating_add(1);
-    if *spins < 64 {
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
-}
 
 /// One shard: an independent single-slot `A_f` instance plus its gate
 /// word and writer-pending flag, padded so shards never share a cache
@@ -196,59 +183,13 @@ impl ShardedAfRwLock {
     }
 
     /// Reader entry on an explicit shard. Prefer [`Self::read_lock`];
-    /// this is the building block (and the test seam). The matching
-    /// [`Self::read_unlock_shard`] must target the same shard.
+    /// this is the test seam. The matching [`Self::read_unlock_shard`]
+    /// must target the same shard.
     ///
     /// # Panics
     /// Panics if `shard` is out of range.
     pub fn read_lock_shard(&self, shard: usize) {
-        let sh = &self.shards[shard];
-        let mut spins = 0u32;
-        loop {
-            // Writer preference: arrivals hold off while a writer is
-            // pending, so the shard's batch can drain.
-            if sh.wp.load(Ordering::SeqCst) != 0 {
-                backoff(&mut spins);
-                continue;
-            }
-            let w = sh.gate.load(Ordering::SeqCst);
-            if w & DRAIN != 0 {
-                // An exit is retiring; the shard reopens at gate = 0.
-                backoff(&mut spins);
-                continue;
-            }
-            if w == 0 {
-                // Claim the batch: become the leader.
-                if sh
-                    .gate
-                    .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    sh.inner.reader_lock(0);
-                    sh.gate.fetch_or(OPEN, Ordering::SeqCst);
-                    return;
-                }
-            } else {
-                debug_assert!(w & COUNT_MASK < COUNT_MASK, "batch member overflow");
-                // Join the in-flight batch.
-                if sh
-                    .gate
-                    .compare_exchange(w, w + 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    if w & OPEN == 0 {
-                        // Joined while the leader is still running the
-                        // A_f entry; wait for it to open the batch.
-                        let mut fill_spins = 0u32;
-                        while sh.gate.load(Ordering::SeqCst) & OPEN == 0 {
-                            backoff(&mut fill_spins);
-                        }
-                    }
-                    return;
-                }
-            }
-            // CAS lost a race: re-check the writer flag and retry.
-        }
+        self.try_read_lock_shard_with(shard, Budget::Unbounded);
     }
 
     /// Reader exit on an explicit shard (pairs with
@@ -287,57 +228,61 @@ impl ShardedAfRwLock {
     }
 
     /// Bounded reader entry on an explicit shard: like
-    /// [`Self::read_lock_shard`], but spend at most `spins` backoff
-    /// rounds waiting for admission (writer-pending flag clear, batch not
-    /// draining, gate CAS won). The attempt gives up only *before* it has
-    /// CASed into a batch — after a successful gate transition the
-    /// reader is committed (at worst it rides out the single writer
-    /// passage that slipped in behind its admission check), so a `false`
-    /// return leaves no residue anywhere. Pair a `true` with
+    /// [`Self::read_lock_shard`], but spend at most `spins` failed
+    /// admission attempts (writer-pending flag clear, batch not draining,
+    /// gate CAS won). The attempt gives up only *before* it has CASed
+    /// into a batch — after a successful gate transition the reader is
+    /// committed (at worst it rides out the single writer passage that
+    /// slipped in behind its admission check), so a `false` return
+    /// leaves no residue anywhere. Pair a `true` with
     /// [`Self::read_unlock_shard`] on the same shard.
     ///
     /// # Panics
     /// Panics if `shard` is out of range.
     pub fn try_read_lock_shard(&self, shard: usize, spins: u64) -> bool {
+        self.try_read_lock_shard_with(shard, Budget::Spins(spins))
+    }
+
+    /// Reader entry on an explicit shard, waiting for admission within
+    /// `budget` as [`Self::try_read_lock_shard`] describes.
+    pub(crate) fn try_read_lock_shard_with(&self, shard: usize, budget: Budget) -> bool {
         let sh = &self.shards[shard];
-        let mut budget = spins;
-        let mut spin_state = 0u32;
-        loop {
-            let blocked =
-                sh.wp.load(Ordering::SeqCst) != 0 || sh.gate.load(Ordering::SeqCst) & DRAIN != 0;
-            if !blocked {
-                let w = sh.gate.load(Ordering::SeqCst);
-                if w == 0 {
-                    if sh
-                        .gate
-                        .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                    {
-                        sh.inner.reader_lock(0); // committed: leader
-                        sh.gate.fetch_or(OPEN, Ordering::SeqCst);
-                        return true;
-                    }
-                } else if w & DRAIN == 0
-                    && sh
-                        .gate
-                        .compare_exchange(w, w + 1, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                {
-                    if w & OPEN == 0 {
-                        let mut fill_spins = 0u32;
-                        while sh.gate.load(Ordering::SeqCst) & OPEN == 0 {
-                            backoff(&mut fill_spins);
-                        }
-                    }
-                    return true; // committed: batch member
-                }
-            }
-            if budget == 0 {
+        // The gate word our admission CAS replaced.
+        let mut joined = 0;
+        let admitted = wait_until(budget, || {
+            // Writer preference: arrivals hold off while a writer is
+            // pending, so the shard's batch can drain.
+            if sh.wp.load(Ordering::SeqCst) != 0 {
                 return false;
             }
-            budget -= 1;
-            backoff(&mut spin_state);
+            let w = sh.gate.load(Ordering::SeqCst);
+            if w & DRAIN != 0 {
+                // An exit is retiring; the shard reopens at gate = 0.
+                return false;
+            }
+            debug_assert!(w & COUNT_MASK < COUNT_MASK, "batch member overflow");
+            // Claim the batch (w = 0: become the leader) or join the
+            // in-flight one. A lost CAS re-checks the writer flag.
+            joined = w;
+            sh.gate
+                .compare_exchange(w, w + 1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        });
+        if !admitted {
+            return false;
         }
+        if joined == 0 {
+            // Committed leader: run the A_f entry for the whole batch.
+            sh.inner.reader_lock(0);
+            sh.gate.fetch_or(OPEN, Ordering::SeqCst);
+        } else if joined & OPEN == 0 {
+            // Joined while the leader is still running the A_f entry;
+            // wait for it to open the batch.
+            wait_until(Budget::Unbounded, || {
+                sh.gate.load(Ordering::SeqCst) & OPEN != 0
+            });
+        }
+        true
     }
 
     /// Reader entry on the calling thread's shard.
@@ -351,18 +296,10 @@ impl ShardedAfRwLock {
         self.try_read_lock_shard(self.shard_of_current_thread(), spins)
     }
 
-    /// Deadline reader entry on the calling thread's shard: retry bounded
-    /// attempts until `deadline` passes.
-    pub fn read_lock_deadline(&self, deadline: std::time::Instant) -> bool {
-        let shard = self.shard_of_current_thread();
-        loop {
-            if self.try_read_lock_shard(shard, DEADLINE_SPIN_SLICE) {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-        }
+    /// Deadline reader entry on the calling thread's shard: one attempt
+    /// that gives up once `deadline` has passed before admission.
+    pub fn read_lock_deadline(&self, deadline: Instant) -> bool {
+        self.try_read_lock_shard_with(self.shard_of_current_thread(), Budget::Deadline(deadline))
     }
 
     /// Reader exit on the calling thread's shard.
@@ -376,16 +313,7 @@ impl ShardedAfRwLock {
     /// # Panics
     /// Panics if `writer_id` is out of range.
     pub fn write_lock(&self, writer_id: usize) {
-        self.wl.lock(writer_id);
-        for sh in &self.shards {
-            sh.wp.store(1, Ordering::SeqCst);
-        }
-        // Fixed ascending order. Readers hold at most one shard and
-        // never block while holding it, and writers are serialized
-        // above, so no cycle in the wait-for graph is possible.
-        for sh in &self.shards {
-            sh.inner.writer_lock(0);
-        }
+        self.try_write_lock_with(writer_id, Budget::Unbounded);
     }
 
     /// Writer exit: release every shard, clear the flags, release the
@@ -403,28 +331,47 @@ impl ShardedAfRwLock {
         self.wl.unlock(writer_id);
     }
 
-    /// Bounded writer entry: spend at most `spins` rounds on the outer
-    /// gate and then on each shard's write lock. On any timeout the
-    /// attempt rolls itself back completely — shards already won are
-    /// released in reverse order, every writer-pending flag is cleared,
-    /// and the outer gate is dropped — so a `false` return leaves the
-    /// lock exactly as acquirable as before the call. Pair a `true` with
-    /// [`Self::write_unlock`].
+    /// Bounded writer entry: spend at most `spins` re-reads in any one
+    /// wait loop, on the outer gate and then on each shard's write lock.
+    /// On any timeout the attempt rolls itself back completely — shards
+    /// already won are released in reverse order, every writer-pending
+    /// flag is cleared, and the outer gate is dropped — so a `false`
+    /// return leaves the lock exactly as acquirable as before the call.
+    /// Pair a `true` with [`Self::write_unlock`].
     ///
     /// # Panics
     /// Panics if `writer_id` is out of range.
     pub fn try_write_lock(&self, writer_id: usize, spins: u64) -> bool {
-        if !self.wl.try_lock(writer_id, spins) {
+        self.try_write_lock_with(writer_id, Budget::Spins(spins))
+    }
+
+    /// Deadline writer entry: one attempt that withdraws once `deadline`
+    /// has passed.
+    ///
+    /// # Panics
+    /// Panics if `writer_id` is out of range.
+    pub fn write_lock_deadline(&self, writer_id: usize, deadline: Instant) -> bool {
+        self.try_write_lock_with(writer_id, Budget::Deadline(deadline))
+    }
+
+    /// Writer entry within `budget`: serialize on the outer gate, flag
+    /// every shard, then acquire each shard's write lock in ascending
+    /// shard order, rolling back on timeout as [`Self::try_write_lock`]
+    /// describes. Readers hold at most one shard and never block while
+    /// holding it, and writers are serialized by the gate, so no cycle in
+    /// the wait-for graph is possible.
+    pub(crate) fn try_write_lock_with(&self, writer_id: usize, budget: Budget) -> bool {
+        if !self.wl.try_lock_with(writer_id, budget) {
             return false;
         }
         for sh in &self.shards {
             sh.wp.store(1, Ordering::SeqCst);
         }
         for (k, sh) in self.shards.iter().enumerate() {
-            if !sh.inner.try_writer_lock(0, spins) {
+            if !sh.inner.try_writer_lock_with(0, budget) {
                 // Shard `k` timed out and already unwound itself (its
-                // `try_writer_lock` burns the epoch on the way out); the
-                // shards below it are fully held and need a real release.
+                // entry burns the epoch on the way out); the shards below
+                // it are fully held and need a real release.
                 for held in self.shards[..k].iter().rev() {
                     held.inner.writer_unlock(0);
                 }
@@ -436,22 +383,6 @@ impl ShardedAfRwLock {
             }
         }
         true
-    }
-
-    /// Deadline writer entry: retry bounded attempts until `deadline`
-    /// passes.
-    ///
-    /// # Panics
-    /// Panics if `writer_id` is out of range.
-    pub fn write_lock_deadline(&self, writer_id: usize, deadline: std::time::Instant) -> bool {
-        loop {
-            if self.try_write_lock(writer_id, DEADLINE_SPIN_SLICE) {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-        }
     }
 }
 

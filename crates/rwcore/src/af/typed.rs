@@ -7,6 +7,8 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
+use wmutex::Budget;
 
 /// A reader-writer lock protecting a `T`, backed by the paper's `A_f`
 /// algorithm.
@@ -154,11 +156,6 @@ impl<T: fmt::Debug> fmt::Debug for AfRwLock<T> {
     }
 }
 
-/// Spins per bounded attempt inside the deadline loops: long enough that
-/// an uncontended pass never retries, short enough that the deadline is
-/// checked with useful granularity.
-pub(crate) const DEADLINE_SPIN_SLICE: u64 = 1 << 12;
-
 /// A claimed reader process id. `read` requires `&mut self`, so one handle
 /// cannot start overlapping passages.
 #[derive(Debug)]
@@ -170,11 +167,8 @@ pub struct ReaderHandle<'a, T> {
 impl<'a, T> ReaderHandle<'a, T> {
     /// Execute the reader entry section and return a shared guard.
     pub fn read(&mut self) -> ReadGuard<'_, T> {
-        self.lock.raw.reader_lock(self.id);
-        ReadGuard {
-            lock: self.lock,
-            id: self.id,
-        }
+        self.read_with(Budget::Unbounded)
+            .expect("an unbounded entry always acquires")
     }
 
     /// Bounded acquisition: like [`ReaderHandle::read`], but withdraw and
@@ -182,30 +176,23 @@ impl<'a, T> ReaderHandle<'a, T> {
     /// (see [`RawAfLock::try_reader_lock`]). A `None` leaves no residue —
     /// the attempt looks like a passage that never reached the CS.
     pub fn try_read(&mut self, spins: u64) -> Option<ReadGuard<'_, T>> {
+        self.read_with(Budget::Spins(spins))
+    }
+
+    /// Deadline acquisition: one entry attempt that withdraws once
+    /// `deadline` has passed. Returns `None` if it did.
+    pub fn read_deadline(&mut self, deadline: Instant) -> Option<ReadGuard<'_, T>> {
+        self.read_with(Budget::Deadline(deadline))
+    }
+
+    fn read_with(&mut self, budget: Budget) -> Option<ReadGuard<'_, T>> {
         self.lock
             .raw
-            .try_reader_lock(self.id, spins)
+            .try_reader_lock_with(self.id, budget)
             .then(|| ReadGuard {
                 lock: self.lock,
                 id: self.id,
             })
-    }
-
-    /// Deadline acquisition: retry [`ReaderHandle::try_read`]-style
-    /// bounded attempts until `deadline`. Returns `None` once the
-    /// deadline has passed without an acquisition.
-    pub fn read_deadline(&mut self, deadline: std::time::Instant) -> Option<ReadGuard<'_, T>> {
-        loop {
-            if self.lock.raw.try_reader_lock(self.id, DEADLINE_SPIN_SLICE) {
-                return Some(ReadGuard {
-                    lock: self.lock,
-                    id: self.id,
-                });
-            }
-            if std::time::Instant::now() >= deadline {
-                return None;
-            }
-        }
     }
 
     /// This handle's reader process id.
@@ -230,41 +217,31 @@ pub struct WriterHandle<'a, T> {
 impl<'a, T> WriterHandle<'a, T> {
     /// Execute the writer entry section and return an exclusive guard.
     pub fn write(&mut self) -> WriteGuard<'_, T> {
-        self.lock.raw.writer_lock(self.id);
-        WriteGuard {
-            lock: self.lock,
-            id: self.id,
-        }
+        self.write_with(Budget::Unbounded)
+            .expect("an unbounded entry always acquires")
     }
 
     /// Bounded acquisition: like [`WriterHandle::write`], but spend at
     /// most `spins` re-reads in any one wait loop and withdraw on timeout
     /// (see [`RawAfLock::try_writer_lock`]).
     pub fn try_write(&mut self, spins: u64) -> Option<WriteGuard<'_, T>> {
+        self.write_with(Budget::Spins(spins))
+    }
+
+    /// Deadline acquisition: one entry attempt that withdraws once
+    /// `deadline` has passed. Returns `None` if it did.
+    pub fn write_deadline(&mut self, deadline: Instant) -> Option<WriteGuard<'_, T>> {
+        self.write_with(Budget::Deadline(deadline))
+    }
+
+    fn write_with(&mut self, budget: Budget) -> Option<WriteGuard<'_, T>> {
         self.lock
             .raw
-            .try_writer_lock(self.id, spins)
+            .try_writer_lock_with(self.id, budget)
             .then(|| WriteGuard {
                 lock: self.lock,
                 id: self.id,
             })
-    }
-
-    /// Deadline acquisition: retry bounded attempts until `deadline`.
-    /// Returns `None` once the deadline has passed without an
-    /// acquisition.
-    pub fn write_deadline(&mut self, deadline: std::time::Instant) -> Option<WriteGuard<'_, T>> {
-        loop {
-            if self.lock.raw.try_writer_lock(self.id, DEADLINE_SPIN_SLICE) {
-                return Some(WriteGuard {
-                    lock: self.lock,
-                    id: self.id,
-                });
-            }
-            if std::time::Instant::now() >= deadline {
-                return None;
-            }
-        }
     }
 
     /// This handle's writer process id.

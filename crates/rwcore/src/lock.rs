@@ -79,6 +79,11 @@ pub trait RealLock: Send + Sync {
     fn write_pass(&self, id: usize);
     /// Implementation name for tables.
     fn label(&self) -> String;
+    /// The checked critical section the passages run, if the instance
+    /// runs one (every registry adapter does).
+    fn cs(&self) -> Option<&CheckedCs> {
+        None
+    }
     /// The shard count this instance actually runs with, for sharded
     /// variants — which may be *lower* than the requested
     /// [`RealShape::shards`] (the sharded `A_f` caps at the CPU count).
@@ -109,7 +114,7 @@ impl RealLockFactory {
     }
 
     /// A factory over any [`RawRwLock`] constructor, adapting it with
-    /// the standard shared-counter critical section ([`RawAdapter`]).
+    /// the [`CheckedCs`] critical section ([`RawAdapter`]).
     pub fn raw<L: RawRwLock + 'static>(
         ctor: impl Fn(RealShape) -> L + Send + Sync + 'static,
     ) -> Self {
@@ -128,11 +133,52 @@ impl fmt::Debug for RealLockFactory {
     }
 }
 
-/// Wraps any [`RawRwLock`] (our locks) with a tiny shared-counter CS.
+/// The critical section every registry adapter runs: a two-word record a
+/// writer bumps word by word. A reader overlapping a writer sees the
+/// words differ (a torn read); a writer overlapping a writer loses an
+/// increment (so [`Self::writes`] falls short of the write passages).
+#[derive(Debug, Default)]
+pub struct CheckedCs {
+    lo: AtomicU64,
+    hi: AtomicU64,
+    torn: AtomicU64,
+}
+
+impl CheckedCs {
+    /// The reader's critical section.
+    #[inline]
+    pub fn read(&self) {
+        let lo = self.lo.load(Ordering::Relaxed);
+        let hi = self.hi.load(Ordering::Relaxed);
+        if lo != hi {
+            self.torn.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The writer's critical section.
+    #[inline]
+    pub fn write(&self) {
+        let v = self.lo.load(Ordering::Relaxed) + 1;
+        self.lo.store(v, Ordering::Relaxed);
+        self.hi.store(v, Ordering::Relaxed);
+    }
+
+    /// Reads that saw a writer mid-update.
+    pub fn torn_reads(&self) -> u64 {
+        self.torn.load(Ordering::Relaxed)
+    }
+
+    /// Writes that landed.
+    pub fn writes(&self) -> u64 {
+        self.hi.load(Ordering::Relaxed)
+    }
+}
+
+/// Wraps any [`RawRwLock`] (our locks) with the [`CheckedCs`].
 #[derive(Debug)]
 pub struct RawAdapter<L> {
     lock: L,
-    shared: AtomicU64,
+    cs: CheckedCs,
 }
 
 impl<L: RawRwLock> RawAdapter<L> {
@@ -140,7 +186,7 @@ impl<L: RawRwLock> RawAdapter<L> {
     pub fn new(lock: L) -> Self {
         RawAdapter {
             lock,
-            shared: AtomicU64::new(0),
+            cs: CheckedCs::default(),
         }
     }
 }
@@ -148,17 +194,19 @@ impl<L: RawRwLock> RawAdapter<L> {
 impl<L: RawRwLock> RealLock for RawAdapter<L> {
     fn read_pass(&self, id: usize) {
         self.lock.reader_lock(id);
-        std::hint::black_box(self.shared.load(Ordering::Relaxed));
+        self.cs.read();
         self.lock.reader_unlock(id);
     }
     fn write_pass(&self, id: usize) {
         self.lock.writer_lock(id);
-        let v = self.shared.load(Ordering::Relaxed);
-        self.shared.store(v + 1, Ordering::Relaxed);
+        self.cs.write();
         self.lock.writer_unlock(id);
     }
     fn label(&self) -> String {
         self.lock.name().to_string()
+    }
+    fn cs(&self) -> Option<&CheckedCs> {
+        Some(&self.cs)
     }
     fn effective_shards(&self) -> Option<usize> {
         self.lock.effective_shards()
@@ -169,18 +217,24 @@ impl<L: RawRwLock> RealLock for RawAdapter<L> {
 /// builds offline with zero dependencies, so `parking_lot` is out).
 #[derive(Debug, Default)]
 pub struct StdAdapter {
-    lock: std::sync::RwLock<u64>,
+    lock: std::sync::RwLock<()>,
+    cs: CheckedCs,
 }
 
 impl RealLock for StdAdapter {
     fn read_pass(&self, _id: usize) {
-        std::hint::black_box(*self.lock.read().unwrap());
+        let _guard = self.lock.read().expect("a writer panicked in the CS");
+        self.cs.read();
     }
     fn write_pass(&self, _id: usize) {
-        *self.lock.write().unwrap() += 1;
+        let _guard = self.lock.write().expect("a passage panicked in the CS");
+        self.cs.write();
     }
     fn label(&self) -> String {
         "std::RwLock".into()
+    }
+    fn cs(&self) -> Option<&CheckedCs> {
+        Some(&self.cs)
     }
 }
 

@@ -15,6 +15,9 @@
 //! [`ClhLock`] and [`TicketLock`] are queue-lock baselines for the
 //! throughput benches.
 //!
+//! Every real lock in the workspace waits through [`wait_until`], which
+//! spins briefly, then yields, and gives up per its [`Budget`].
+//!
 //! ```
 //! use wmutex::{IdMutex, TournamentLock};
 //! let wl = TournamentLock::new(8);
@@ -28,6 +31,8 @@
 
 mod real;
 mod sim;
+pub mod wait;
 
 pub use real::{ClhLock, IdMutex, TicketLock, TournamentLock};
 pub use sim::{mutex_world, EnterMachine, ExitMachine, MutexClient, SimTournament};
+pub use wait::{wait_until, Budget};

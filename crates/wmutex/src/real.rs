@@ -13,6 +13,7 @@
 //! baselines for the throughput benches (both rely on atomic RMW
 //! operations stronger than the read/write requirement on `WL`).
 
+use crate::wait::{wait_until, Budget};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -22,7 +23,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 /// Each id must be used by at most one thread at a time; [`IdMutex::unlock`]
 /// must only be called by the id currently holding the lock.
 pub trait IdMutex: Send + Sync {
-    /// Acquire the lock on behalf of process `id` (blocking, local-spin).
+    /// Acquire the lock on behalf of process `id` (blocking, through
+    /// [`wait_until`]).
     fn lock(&self, id: usize);
     /// Release the lock held by process `id`.
     fn unlock(&self, id: usize);
@@ -49,33 +51,23 @@ impl Node {
         }
     }
 
-    fn acquire(&self, side: usize) {
+    /// Compete for the node from `side`, waiting for the rival within
+    /// `budget`. On timeout our flag is cleared again (so the rival — who
+    /// re-reads it on every check — proceeds exactly as after a normal
+    /// release) and `false` is returned; the caller must not treat the
+    /// node as held.
+    #[inline]
+    fn try_acquire(&self, side: usize, budget: Budget) -> bool {
         self.flag[side].store(true, Ordering::SeqCst);
         self.turn.store(side, Ordering::SeqCst);
-        while self.flag[1 - side].load(Ordering::SeqCst) && self.turn.load(Ordering::SeqCst) == side
-        {
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Like [`Node::acquire`], but give up after `spins` failed re-reads
-    /// of the rival's `(flag, turn)` pair. On timeout our flag is cleared
-    /// again (so the rival — who re-reads it on every spin iteration —
-    /// proceeds exactly as after a normal release) and `false` is
-    /// returned; the caller must not treat the node as held.
-    fn try_acquire(&self, side: usize, spins: u64) -> bool {
-        self.flag[side].store(true, Ordering::SeqCst);
-        self.turn.store(side, Ordering::SeqCst);
-        for _ in 0..spins {
-            if !(self.flag[1 - side].load(Ordering::SeqCst)
+        let won = wait_until(budget, || {
+            !(self.flag[1 - side].load(Ordering::SeqCst)
                 && self.turn.load(Ordering::SeqCst) == side)
-            {
-                return true;
-            }
-            std::hint::spin_loop();
+        });
+        if !won {
+            self.flag[side].store(false, Ordering::SeqCst);
         }
-        self.flag[side].store(false, Ordering::SeqCst);
-        false
+        won
     }
 
     fn release(&self, side: usize) {
@@ -134,19 +126,30 @@ impl TournamentLock {
         (leaf >> (level + 1), (leaf >> level) & 1)
     }
 
-    /// Bounded acquisition: climb the tree as in [`IdMutex::lock`], but
-    /// spend at most `spins` re-reads waiting at any one node. On timeout,
-    /// withdraw — release every node already won, top-down — and return
-    /// `false` with no residue in shared memory. The abort path is bounded:
-    /// one flag-clear write per level won plus the timed-out node's own.
+    /// Bounded acquisition: [`Self::try_lock_with`] with a budget of
+    /// `spins` failed re-checks at any one node.
     ///
     /// # Panics
     /// Panics if `id >= processes()`.
     pub fn try_lock(&self, id: usize, spins: u64) -> bool {
+        self.try_lock_with(id, Budget::Spins(spins))
+    }
+
+    /// The entry section: climb the tree, waiting at each node within
+    /// `budget` (a spin budget counts per node; a deadline spans the
+    /// climb). On timeout, withdraw — release every node already won,
+    /// top-down — and return `false` with no residue in shared memory.
+    /// The abort path is bounded: one flag-clear write per level won plus
+    /// the timed-out node's own.
+    ///
+    /// # Panics
+    /// Panics if `id >= processes()`.
+    #[inline]
+    pub fn try_lock_with(&self, id: usize, budget: Budget) -> bool {
         assert!(id < self.m, "process id {id} out of range");
         for level in 0..self.levels() {
             let (node, side) = self.arena(id, level);
-            if !self.nodes[node].try_acquire(side, spins) {
+            if !self.nodes[node].try_acquire(side, budget) {
                 // `try_acquire` already cleared the timed-out node; release
                 // the won levels below it in top-down order.
                 for lower in (0..level).rev() {
@@ -162,11 +165,7 @@ impl TournamentLock {
 
 impl IdMutex for TournamentLock {
     fn lock(&self, id: usize) {
-        assert!(id < self.m, "process id {id} out of range");
-        for level in 0..self.levels() {
-            let (node, side) = self.arena(id, level);
-            self.nodes[node].acquire(side);
-        }
+        self.try_lock_with(id, Budget::Unbounded);
     }
 
     fn unlock(&self, id: usize) {
@@ -233,9 +232,9 @@ impl IdMutex for ClhLock {
         let my_slot = unsafe { *self.spare[id].get() };
         self.flags[my_slot].store(true, Ordering::SeqCst);
         let pred = self.tail.swap(my_slot, Ordering::SeqCst);
-        while self.flags[pred].load(Ordering::SeqCst) {
-            std::hint::spin_loop();
-        }
+        wait_until(Budget::Unbounded, || {
+            !self.flags[pred].load(Ordering::SeqCst)
+        });
         unsafe {
             *self.mine[id].get() = my_slot;
             // Recycle the predecessor's node as our next spare (classic CLH).
@@ -280,9 +279,9 @@ impl TicketLock {
 impl IdMutex for TicketLock {
     fn lock(&self, _id: usize) {
         let my = self.next.fetch_add(1, Ordering::SeqCst);
-        while self.grant.load(Ordering::SeqCst) != my {
-            std::hint::spin_loop();
-        }
+        wait_until(Budget::Unbounded, || {
+            self.grant.load(Ordering::SeqCst) == my
+        });
     }
 
     fn unlock(&self, _id: usize) {
@@ -367,6 +366,19 @@ mod tests {
         for id in 0..4 {
             assert!(m.try_lock(id, 1_000), "uncontended try_lock must win");
             m.unlock(id);
+        }
+    }
+
+    #[test]
+    fn uncontended_zero_budget_try_lock_wins() {
+        // The rival check precedes the budget: with nobody competing, a
+        // zero budget must still climb every level.
+        for m in [2usize, 3, 8] {
+            let lock = TournamentLock::new(m);
+            for id in 0..m {
+                assert!(lock.try_lock(id, 0), "m={m} id={id}: no rival present");
+                lock.unlock(id);
+            }
         }
     }
 
