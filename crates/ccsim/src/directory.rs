@@ -51,8 +51,7 @@ impl Directory {
     }
 
     /// Overwrite `self` with `src`, reusing the bitset and owner buffers
-    /// (no allocation when the shapes match, as they do when the model
-    /// checker recycles a popped world).
+    /// (no allocation when the shapes match).
     pub(crate) fn assign_from(&mut self, src: &Directory) {
         self.n_procs = src.n_procs;
         self.n_vars = src.n_vars;
@@ -123,15 +122,52 @@ impl Directory {
 
     /// Drop every copy held by process `p` (its cache went away — a crash).
     /// O(n_vars): one bit clear per variable, plus an owner-slot clear
-    /// where `p` was the exclusive owner.
-    pub(crate) fn purge_proc(&mut self, p: usize) {
-        let mask = !(1u64 << (p % 64));
+    /// where `p` was the exclusive owner. With `cleared`, append one
+    /// entry per line `p` held — `v << 1 | was_owner` — so
+    /// [`Directory::unpurge`] can put them back.
+    pub(crate) fn purge_proc(&mut self, p: usize, mut cleared: Option<&mut Vec<u64>>) {
+        let bit = 1u64 << (p % 64);
         for v in 0..self.n_vars {
-            self.holders[v * self.words_per_var + p / 64] &= mask;
-            if self.owner[v] == p as u32 {
+            let w = v * self.words_per_var + p / 64;
+            if self.holders[w] & bit == 0 {
+                continue;
+            }
+            self.holders[w] &= !bit;
+            let was_owner = self.owner[v] == p as u32;
+            if was_owner {
                 self.owner[v] = NO_OWNER;
             }
+            if let Some(out) = cleared.as_deref_mut() {
+                out.push((v as u64) << 1 | was_owner as u64);
+            }
         }
+    }
+
+    /// Undo [`Directory::purge_proc`] from the entries it logged.
+    pub(crate) fn unpurge(&mut self, p: usize, cleared: &[u64]) {
+        for &e in cleared {
+            let v = (e >> 1) as usize;
+            self.set_shared(p, v);
+            if e & 1 == 1 {
+                self.owner[v] = p as u32;
+            }
+        }
+    }
+
+    /// Append `v`'s holder words to `out` and return its owner slot:
+    /// everything a memory operation on `v` can change in the directory.
+    pub(crate) fn save_line(&self, v: usize, out: &mut Vec<u64>) -> u32 {
+        let base = v * self.words_per_var;
+        out.extend_from_slice(&self.holders[base..base + self.words_per_var]);
+        self.owner[v]
+    }
+
+    /// Put back a line saved by [`Directory::save_line`]; `words`
+    /// starts with the holder words it appended.
+    pub(crate) fn restore_line(&mut self, v: usize, words: &[u64], owner: u32) {
+        let base = v * self.words_per_var;
+        self.holders[base..base + self.words_per_var].copy_from_slice(&words[..self.words_per_var]);
+        self.owner[v] = owner;
     }
 
     /// Number of processes holding a copy of `v`.
@@ -217,6 +253,33 @@ mod tests {
         assert!(d.holds(2, 0));
         assert!(!d.holds_exclusive(2, 0));
         assert_eq!(d.owner(0), None);
+    }
+
+    #[test]
+    fn purge_and_line_saves_round_trip() {
+        let mut d = Directory::new(3, 70);
+        d.set_shared(1, 0);
+        d.set_shared(66, 0);
+        d.set_exclusive(66, 2);
+        d.set_exclusive(1, 1);
+        let before = d.clone();
+        let mut cleared = Vec::new();
+        d.purge_proc(66, Some(&mut cleared));
+        assert_eq!(cleared, vec![0 << 1, 2 << 1 | 1]);
+        assert!(!d.holds(66, 0) && d.owner(2).is_none());
+        d.unpurge(66, &cleared);
+        assert_eq!(
+            (d.holders.clone(), d.owner.clone()),
+            (before.holders.clone(), before.owner.clone())
+        );
+
+        let mut words = Vec::new();
+        let owner = d.save_line(0, &mut words);
+        assert_eq!(words.len(), d.words_per_var);
+        d.invalidate_others(5, 0);
+        d.set_exclusive(5, 0);
+        d.restore_line(0, &words, owner);
+        assert_eq!((d.holders, d.owner), (before.holders, before.owner));
     }
 
     #[test]

@@ -63,6 +63,6 @@ pub use sched::{
     blocked_spinners, parse_stall_after, run_random, run_random_with_faults, run_round_robin,
     run_round_robin_with_faults, run_solo, RunConfig, RunError, RunReport, STALL_AFTER_ENV,
 };
-pub use sim::{MutualExclusionViolation, ProcStats, Sim, SymmetryClass};
+pub use sim::{MutualExclusionViolation, ProcStats, Sim, SymmetryClass, UndoLog};
 pub use trace::{StepKind, StepRecord, Trace, TraceSummary};
 pub use value::{ProcId, Value, VarId};

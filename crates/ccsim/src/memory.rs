@@ -7,6 +7,7 @@ use crate::layout::Layout;
 use crate::op::Op;
 use crate::value::{ProcId, Value, VarId};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Salt for per-variable Zobrist signatures, so a variable-slot signature
 /// can never collide with a process-slot signature built in `sim.rs`.
@@ -75,8 +76,9 @@ pub struct Memory {
     protocol: Protocol,
     values: Vec<Value>,
     dir: Directory,
-    /// DSM home segments (unused by the CC protocols).
-    homes: Vec<Option<usize>>,
+    /// DSM home segments (unused by the CC protocols). Fixed at
+    /// construction, so every copy of a memory shares one allocation.
+    homes: Arc<[Option<usize>]>,
     /// Maintained XOR of [`slot_sig`] over all variables — the value part
     /// of the model checker's incremental configuration fingerprint,
     /// patched in O(1) by [`Memory::apply`] whenever a value changes.
@@ -96,21 +98,43 @@ impl Memory {
             protocol,
             dir: Directory::new(values.len(), n_procs),
             values,
-            homes: layout.home_assignments(),
+            homes: layout.home_assignments().into(),
             vals_fp,
         }
     }
 
     /// Overwrite `self` with `src`, reusing the value and directory
     /// buffers instead of allocating fresh ones. Used by
-    /// [`crate::Sim::clone_world_into`] when the model checker recycles a
-    /// popped configuration.
+    /// [`crate::Sim::clone_world_into`]. The home table is shared, not
+    /// copied, and is left alone when both sides already share it.
     pub fn assign_from(&mut self, src: &Memory) {
         self.protocol = src.protocol;
         self.values.clone_from(&src.values);
         self.dir.assign_from(&src.dir);
-        self.homes.clone_from(&src.homes);
+        if !Arc::ptr_eq(&self.homes, &src.homes) {
+            self.homes = Arc::clone(&src.homes);
+        }
         self.vals_fp = src.vals_fp;
+    }
+
+    /// Save everything [`Memory::apply`] of an operation on `v` can
+    /// overwrite: the value, the value fingerprint and the line's
+    /// directory entry (its holder words are appended to `words`).
+    pub(crate) fn save_slot(&self, v: VarId, words: &mut Vec<u64>) -> SlotSave {
+        SlotSave {
+            v: v.0,
+            value: self.values[v.0],
+            vals_fp: self.vals_fp,
+            owner: self.dir.save_line(v.0, words),
+        }
+    }
+
+    /// Put back a slot saved by [`Memory::save_slot`]; `words`
+    /// starts with the holder words it appended.
+    pub(crate) fn restore_slot(&mut self, s: &SlotSave, words: &[u64]) {
+        self.values[s.v] = s.value;
+        self.vals_fp = s.vals_fp;
+        self.dir.restore_line(s.v, words, s.owner);
     }
 
     /// The coherence protocol in force.
@@ -249,8 +273,19 @@ impl Memory {
     /// so losing a dirty line never loses a write that another process
     /// could already have observed.
     pub fn crash_invalidate(&mut self, p: ProcId) {
+        self.crash_invalidate_logged(p, None);
+    }
+
+    /// [`Memory::crash_invalidate`], appending to `cleared` the
+    /// directory entries it drops, for [`Memory::uncrash`].
+    pub(crate) fn crash_invalidate_logged(&mut self, p: ProcId, cleared: Option<&mut Vec<u64>>) {
         assert!(p.0 < self.dir.n_procs(), "process {p} out of range");
-        self.dir.purge_proc(p.0);
+        self.dir.purge_proc(p.0, cleared);
+    }
+
+    /// Give `p` back the lines a logged crash invalidation dropped.
+    pub(crate) fn uncrash(&mut self, p: ProcId, cleared: &[u64]) {
+        self.dir.unpurge(p.0, cleared);
     }
 
     /// Hash the variable values (not cache state) into `h`. Used for
@@ -283,6 +318,16 @@ impl Memory {
     pub fn snapshot(&self) -> Vec<Value> {
         self.values.clone()
     }
+}
+
+/// One variable's state as [`Memory::save_slot`] saved it (its holder
+/// words live in the caller's word stack).
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct SlotSave {
+    v: usize,
+    value: Value,
+    vals_fp: u64,
+    owner: u32,
 }
 
 /// A read-only, per-process view into the coherence [`Directory`],

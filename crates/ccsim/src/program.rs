@@ -199,16 +199,17 @@ pub trait Program: Send {
     /// Copy this process's full local state *into* `dst`, reusing `dst`'s
     /// storage, and return `true` — or return `false` if `dst` is a
     /// different concrete type (the caller then falls back to
-    /// [`Program::clone_box`]). The model checker branches millions of
-    /// configurations; recycling each popped world through this method
-    /// turns every per-process `Box` allocation of [`Sim::clone_world`]
-    /// into a plain memcpy.
+    /// [`Program::clone_box`]). The model checker steps millions of
+    /// configurations; [`UndoLog`] saves each stepped program through
+    /// this method into a spare box, and [`Sim::clone_world_into`] copies
+    /// worlds through it, so neither allocates per process.
     ///
     /// The default conservatively reports `false`. Implementations that
     /// are `Clone + 'static` opt in with one line:
     /// [`crate::impl_program_in_place_clone!()`][impl_program_in_place_clone].
     ///
-    /// [`Sim::clone_world`]: crate::Sim::clone_world
+    /// [`UndoLog`]: crate::UndoLog
+    /// [`Sim::clone_world_into`]: crate::Sim::clone_world_into
     fn clone_into_dyn(&self, dst: &mut dyn Program) -> bool {
         let _ = dst;
         false

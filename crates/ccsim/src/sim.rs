@@ -1,13 +1,14 @@
 //! The simulation world: processes + memory + metrics + trace.
 
 use crate::fxhash::{mix64, FxHasher};
-use crate::memory::Memory;
+use crate::memory::{Memory, SlotSave};
 use crate::op::Op;
 use crate::program::{Phase, Program, Role, Step};
 use crate::trace::{StepKind, StepRecord, Trace};
 use crate::value::{ProcId, Value, VarId};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Salt for per-process Zobrist signatures (the value-slot counterpart
 /// lives in `memory.rs` with a different salt).
@@ -214,6 +215,23 @@ impl fmt::Display for MutualExclusionViolation {
 
 impl Error for MutualExclusionViolation {}
 
+/// What [`Sim::declare_symmetry`] fixes for the rest of a world's life.
+/// Every copy of a world shares one `Shape` behind an `Arc`, so cloning
+/// a world never copies it.
+#[derive(Debug)]
+struct Shape {
+    /// Interchangeable-process classes declared by the world builder;
+    /// consulted only by the canonical serialization
+    /// ([`Sim::canonical_vec`]), never by stepping.
+    symmetry: Vec<SymmetryClass>,
+    /// `owned_mask[v]` — variable `v` appears in some class member's
+    /// owned slice (lets the canonical serialization skip owned slots in
+    /// O(1) per variable).
+    owned_mask: Vec<bool>,
+    /// `class_member[p]` — process `p` belongs to some declared class.
+    class_member: Vec<bool>,
+}
+
 /// The simulation world: a set of [`Program`] processes sharing a
 /// [`Memory`], with per-process metrics and an optional step [`Trace`].
 ///
@@ -258,16 +276,7 @@ pub struct Sim {
     /// [`Sim::canonical_vec`] reads digests instead of rehashing programs.
     proc_digests: Vec<u64>,
     procs_fp: u64,
-    /// Interchangeable-process classes declared by the world builder via
-    /// [`Sim::declare_symmetry`]; consulted only by the canonical
-    /// serialization ([`Sim::canonical_vec`]), never by stepping.
-    symmetry: Vec<SymmetryClass>,
-    /// `owned_mask[v]` — variable `v` appears in some class member's
-    /// owned slice (derived by [`Sim::declare_symmetry`]; lets the
-    /// canonical serialization skip owned slots in O(1) per variable).
-    owned_mask: Vec<bool>,
-    /// `class_member[p]` — process `p` belongs to some declared class.
-    class_member: Vec<bool>,
+    shape: Arc<Shape>,
     trace: Option<Trace>,
     steps: u64,
 }
@@ -299,9 +308,11 @@ impl Sim {
             aborting: vec![false; n],
             proc_digests,
             procs_fp,
-            symmetry: Vec::new(),
-            owned_mask: vec![false; n_vars],
-            class_member: vec![false; n],
+            shape: Arc::new(Shape {
+                symmetry: Vec::new(),
+                owned_mask: vec![false; n_vars],
+                class_member: vec![false; n],
+            }),
             trace: None,
             steps: 0,
         }
@@ -415,10 +426,27 @@ impl Sim {
     /// # Panics
     /// Panics if `p` is out of range.
     pub fn step(&mut self, p: ProcId) -> StepRecord {
+        self.step_inner(p, None)
+    }
+
+    /// [`Sim::step`], logging what it overwrites to `log` so that
+    /// [`Sim::undo`] can roll it back: process `p`'s program and
+    /// bookkeeping, and for a memory operation the one slot it touches.
+    pub fn step_logged(&mut self, p: ProcId, log: &mut UndoLog) -> StepRecord {
+        self.step_inner(p, Some(log))
+    }
+
+    fn step_inner(&mut self, p: ProcId, mut log: Option<&mut UndoLog>) -> StepRecord {
+        if let Some(log) = log.as_deref_mut() {
+            log.save_proc(self, p);
+        }
         let phase_before = self.procs[p.0].phase();
         let role = self.procs[p.0].role();
         let kind = match self.procs[p.0].poll() {
             Step::Op(op) => {
+                if let Some(log) = log {
+                    log.save_slot(&self.mem, op.var());
+                }
                 let out = self.mem.apply(p, &op);
                 self.procs[p.0].resume(out.response);
                 let st = &mut self.stats[p.0];
@@ -507,9 +535,26 @@ impl Sim {
     /// Panics if `p` is out of range, or if `on_crash` leaves the program
     /// outside its remainder section.
     pub fn crash(&mut self, p: ProcId) -> StepRecord {
+        self.crash_inner(p, None)
+    }
+
+    /// [`Sim::crash`], logging what it overwrites to `log` so that
+    /// [`Sim::undo`] can roll it back: process `p`'s program and
+    /// bookkeeping, and the directory entries the crash drops.
+    pub fn crash_logged(&mut self, p: ProcId, log: &mut UndoLog) -> StepRecord {
+        self.crash_inner(p, Some(log))
+    }
+
+    fn crash_inner(&mut self, p: ProcId, log: Option<&mut UndoLog>) -> StepRecord {
         let phase_before = self.procs[p.0].phase();
         let role = self.procs[p.0].role();
-        self.mem.crash_invalidate(p);
+        match log {
+            Some(log) => {
+                log.save_proc(self, p);
+                log.save_purge(&mut self.mem, p);
+            }
+            None => self.mem.crash_invalidate(p),
+        }
         self.procs[p.0].on_crash();
         self.refresh_proc_digest(p);
         assert_eq!(
@@ -576,6 +621,16 @@ impl Sim {
         record
     }
 
+    /// [`Sim::crash_all`], logging the whole world before it to `log` so
+    /// that [`Sim::undo`] can roll it back. A system-wide crash rewrites
+    /// every process and every cache, and a model-checked schedule holds
+    /// at most its `crash_all_budget` of them, so a snapshot (one world
+    /// copy per system-wide crash) is the least code.
+    pub fn crash_all_logged(&mut self, log: &mut UndoLog) -> StepRecord {
+        log.save_world(self);
+        self.crash_all()
+    }
+
     /// Request that process `p` abort its passage. If the program reports
     /// [`Program::can_abort`], it is switched onto its withdrawal path via
     /// [`Program::on_abort`]; until it reaches the remainder section its
@@ -589,7 +644,26 @@ impl Sim {
     /// # Panics
     /// Panics if `p` is out of range.
     pub fn abort(&mut self, p: ProcId) -> Option<StepRecord> {
-        if !self.procs[p.0].can_abort() {
+        self.abort_inner(p, None)
+    }
+
+    /// [`Sim::abort`], logging what it overwrites to `log` so that
+    /// [`Sim::undo`] can roll it back. A refused abort logs an empty
+    /// event, so every logged call takes exactly one [`Sim::undo`].
+    pub fn abort_logged(&mut self, p: ProcId, log: &mut UndoLog) -> Option<StepRecord> {
+        self.abort_inner(p, Some(log))
+    }
+
+    fn abort_inner(&mut self, p: ProcId, log: Option<&mut UndoLog>) -> Option<StepRecord> {
+        let abortable = self.procs[p.0].can_abort();
+        if let Some(log) = log {
+            if abortable {
+                log.save_proc(self, p);
+            } else {
+                log.records.push(Record::Nothing);
+            }
+        }
+        if !abortable {
             return None;
         }
         let phase_before = self.procs[p.0].phase();
@@ -640,13 +714,21 @@ impl Sim {
     /// # Errors
     /// Returns the full occupant list on violation.
     pub fn check_mutual_exclusion(&self) -> Result<(), MutualExclusionViolation> {
-        let occupants: Vec<(ProcId, Role)> = self
-            .procs_in_cs()
-            .into_iter()
-            .map(|p| (p, self.role(p)))
-            .collect();
-        let writer_present = occupants.iter().any(|(_, r)| *r == Role::Writer);
-        if writer_present && occupants.len() > 1 {
+        // Count without allocating; the occupant list is built only for
+        // a violation.
+        let (mut in_cs, mut writer_present) = (0usize, false);
+        for p in &self.procs {
+            if p.phase() == Phase::Cs {
+                in_cs += 1;
+                writer_present |= p.role() == Role::Writer;
+            }
+        }
+        if writer_present && in_cs > 1 {
+            let occupants = self
+                .procs_in_cs()
+                .into_iter()
+                .map(|p| (p, self.role(p)))
+                .collect();
             return Err(MutualExclusionViolation { occupants });
         }
         Ok(())
@@ -743,15 +825,17 @@ impl Sim {
                 );
             }
         }
-        self.owned_mask = seen_vars;
-        self.class_member = seen_procs;
-        self.symmetry = classes;
+        self.shape = Arc::new(Shape {
+            symmetry: classes,
+            owned_mask: seen_vars,
+            class_member: seen_procs,
+        });
     }
 
     /// The declared interchangeable-process classes (empty unless the
     /// world builder called [`Sim::declare_symmetry`]).
     pub fn symmetry_classes(&self) -> &[SymmetryClass] {
-        &self.symmetry
+        &self.shape.symmetry
     }
 
     /// The symmetry-quotient canonical fingerprint: the [`FxHasher`]
@@ -809,21 +893,22 @@ impl Sim {
     /// member's local state under a permutation; keying them by process
     /// index would merge states whose permuted members disagree.
     pub fn canonical_vec_annotated(&self, annot: impl Fn(ProcId) -> u64, out: &mut Vec<u64>) {
+        let shape = &*self.shape;
         // 1. Shared memory minus class-owned slots, in VarId order.
         for v in 0..self.mem.n_vars() {
-            if !self.owned_mask[v] {
+            if !shape.owned_mask[v] {
                 encode_value(self.mem.peek(VarId(v)), None, out);
             }
         }
         // 2. Non-class processes, positionally.
         for (i, &digest) in self.proc_digests.iter().enumerate() {
-            if !self.class_member[i] {
+            if !shape.class_member[i] {
                 out.push(digest);
                 out.push(annot(ProcId(i)));
             }
         }
         // 3. Per class: the sorted multiset of member bundles.
-        for class in &self.symmetry {
+        for class in &shape.symmetry {
             let base = out.len();
             // `declare_symmetry` caps classes at 64 members.
             let mut ranges = [(0u32, 0u32); 64];
@@ -860,8 +945,9 @@ impl Sim {
     }
 
     /// Duplicate the entire world — memory, caches, process states, and
-    /// metrics (the trace is not copied). This is how the model checker
-    /// branches a configuration.
+    /// metrics (the trace is not copied). The model checker branches by
+    /// [`Sim::undo`] instead; it copies a world only for a parallel job,
+    /// a system-wide crash and the invariant probes.
     pub fn clone_world(&self) -> Sim {
         Sim {
             mem: self.mem.clone(),
@@ -871,9 +957,7 @@ impl Sim {
             aborting: self.aborting.clone(),
             proc_digests: self.proc_digests.clone(),
             procs_fp: self.procs_fp,
-            symmetry: self.symmetry.clone(),
-            owned_mask: self.owned_mask.clone(),
-            class_member: self.class_member.clone(),
+            shape: Arc::clone(&self.shape),
             trace: None,
             steps: self.steps,
         }
@@ -881,12 +965,12 @@ impl Sim {
 
     /// [`Sim::clone_world`] into an existing world, reusing `dst`'s
     /// buffers. When `dst` came from the same factory (same process types
-    /// in the same slots — the invariant of the model checker's recycling
-    /// pool) and the programs opt into
+    /// in the same slots) and the programs opt into
     /// [`Program::clone_into_dyn`], no allocation happens at all: each
-    /// per-process `Box` is overwritten in place and every `Vec` reuses
-    /// its capacity. Mismatched slots fall back to a fresh
-    /// [`Program::clone_box`], so the copy is correct for any `dst`.
+    /// per-process `Box` is overwritten in place, every `Vec` reuses
+    /// its capacity, and the shared shape is not touched. Mismatched
+    /// slots fall back to a fresh [`Program::clone_box`], so the copy is
+    /// correct for any `dst`.
     pub fn clone_world_into(&self, dst: &mut Sim) {
         dst.mem.assign_from(&self.mem);
         if dst.procs.len() != self.procs.len() {
@@ -903,11 +987,243 @@ impl Sim {
         dst.aborting.clone_from(&self.aborting);
         dst.proc_digests.clone_from(&self.proc_digests);
         dst.procs_fp = self.procs_fp;
-        dst.symmetry.clone_from(&self.symmetry);
-        dst.owned_mask.clone_from(&self.owned_mask);
-        dst.class_member.clone_from(&self.class_member);
+        if !Arc::ptr_eq(&dst.shape, &self.shape) {
+            dst.shape = Arc::clone(&self.shape);
+        }
         dst.trace = None;
         dst.steps = self.steps;
+    }
+
+    /// Roll back the most recent event logged to `log` (by
+    /// [`Sim::step_logged`], [`Sim::crash_logged`],
+    /// [`Sim::crash_all_logged`] or [`Sim::abort_logged`]), restoring
+    /// every process state, metric, memory value and cache line it
+    /// changed, and its trace record. Events must be undone in reverse
+    /// order, on the world that logged them.
+    ///
+    /// # Panics
+    /// Panics if `log` holds no event.
+    pub fn undo(&mut self, log: &mut UndoLog) {
+        match log.records.pop().expect("undo without a logged event") {
+            Record::Nothing => {}
+            Record::World { traced } => {
+                if traced {
+                    self.pop_trace();
+                }
+                log.live_worlds -= 1;
+                self.swap_state(&mut log.worlds[log.live_worlds]);
+            }
+            Record::Proc(save) => {
+                let ProcSave {
+                    p,
+                    mut program,
+                    digest,
+                    procs_fp,
+                    stats,
+                    recovering,
+                    aborting,
+                    steps,
+                    traced,
+                    mem,
+                    wstart,
+                } = save;
+                std::mem::swap(&mut self.procs[p], &mut program);
+                log.spare_programs[p].push(program);
+                self.proc_digests[p] = digest;
+                self.procs_fp = procs_fp;
+                self.stats[p] = stats;
+                self.recovering[p] = recovering;
+                self.aborting[p] = aborting;
+                self.steps = steps;
+                if traced {
+                    self.pop_trace();
+                }
+                let words = &log.words[wstart..];
+                match mem {
+                    MemSave::Untouched => {}
+                    MemSave::Slot(slot) => self.mem.restore_slot(&slot, words),
+                    MemSave::Purged => self.mem.uncrash(ProcId(p), words),
+                }
+                log.words.truncate(wstart);
+            }
+        }
+    }
+
+    fn pop_trace(&mut self) {
+        if let Some(t) = &mut self.trace {
+            t.pop();
+        }
+    }
+
+    /// Exchange everything but the trace and the shape with `other`.
+    fn swap_state(&mut self, other: &mut Sim) {
+        std::mem::swap(&mut self.mem, &mut other.mem);
+        std::mem::swap(&mut self.procs, &mut other.procs);
+        std::mem::swap(&mut self.stats, &mut other.stats);
+        std::mem::swap(&mut self.recovering, &mut other.recovering);
+        std::mem::swap(&mut self.aborting, &mut other.aborting);
+        std::mem::swap(&mut self.proc_digests, &mut other.proc_digests);
+        std::mem::swap(&mut self.procs_fp, &mut other.procs_fp);
+        std::mem::swap(&mut self.steps, &mut other.steps);
+    }
+}
+
+/// The undo log of [`Sim`]'s logged events: a stack with one record per
+/// event, holding only what the event overwrote, so that [`Sim::undo`]
+/// can roll a world back without ever copying it. The model checker
+/// explores by stepping one world forward and undoing on the way back.
+///
+/// A step, crash or abort of process `p` saves `p`'s program (copied
+/// with [`Program::clone_into_dyn`] into a spare `Box` the log keeps per
+/// process, and put back on undo by swapping the pointer), its digest,
+/// the world's process fingerprint, its [`ProcStats`], its recovering
+/// and aborting flags and the step counter. A memory operation also
+/// saves its one slot (value, value fingerprint, holder words, owner);
+/// a crash saves the directory entries it drops. A system-wide crash
+/// saves the whole world (see [`Sim::crash_all_logged`]). Spare boxes
+/// and worlds stay in the log for reuse, so a warm log allocates
+/// nothing.
+#[derive(Default)]
+pub struct UndoLog {
+    records: Vec<Record>,
+    /// Directory words the records saved, stacked in record order.
+    words: Vec<u64>,
+    /// Per process, boxes of its program type free for the next save.
+    spare_programs: Vec<Vec<Box<dyn Program>>>,
+    /// System-wide-crash snapshots: `worlds[..live_worlds]` belong to
+    /// outstanding records, in record order; the rest are spares.
+    worlds: Vec<Sim>,
+    live_worlds: usize,
+}
+
+/// One logged event. Nearly every record is a `Proc`, and they live in
+/// one reused `Vec`, so boxing the large variant would only add an
+/// allocation per event.
+#[allow(clippy::large_enum_variant)]
+enum Record {
+    /// A step, crash or abort of one process.
+    Proc(ProcSave),
+    /// A system-wide crash: the world before it is the last live
+    /// snapshot.
+    World { traced: bool },
+    /// A refused abort: nothing changed.
+    Nothing,
+}
+
+/// What a step, crash or abort of process `p` overwrote.
+struct ProcSave {
+    p: usize,
+    program: Box<dyn Program>,
+    digest: u64,
+    procs_fp: u64,
+    stats: ProcStats,
+    recovering: bool,
+    aborting: bool,
+    steps: u64,
+    /// Whether the event pushed a trace record.
+    traced: bool,
+    /// What the event did to memory; its words are `words[wstart..]`.
+    mem: MemSave,
+    wstart: usize,
+}
+
+/// The memory part of a [`ProcSave`].
+enum MemSave {
+    Untouched,
+    /// A memory operation's slot.
+    Slot(SlotSave),
+    /// A crash's dropped directory entries.
+    Purged,
+}
+
+impl UndoLog {
+    /// An empty log.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Logged events not yet undone.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True if every logged event has been undone.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Push a record saving process `p`'s program and bookkeeping.
+    fn save_proc(&mut self, sim: &Sim, p: ProcId) {
+        let p = p.0;
+        if self.spare_programs.len() < sim.procs.len() {
+            self.spare_programs.resize_with(sim.procs.len(), Vec::new);
+        }
+        let src = &*sim.procs[p];
+        let program = match self.spare_programs[p].pop() {
+            Some(mut spare) => {
+                if !src.clone_into_dyn(&mut *spare) {
+                    spare = src.clone_box();
+                }
+                spare
+            }
+            None => src.clone_box(),
+        };
+        self.records.push(Record::Proc(ProcSave {
+            p,
+            program,
+            digest: sim.proc_digests[p],
+            procs_fp: sim.procs_fp,
+            stats: sim.stats[p],
+            recovering: sim.recovering[p],
+            aborting: sim.aborting[p],
+            steps: sim.steps,
+            traced: sim.trace.is_some(),
+            mem: MemSave::Untouched,
+            wstart: self.words.len(),
+        }));
+    }
+
+    /// The record [`UndoLog::save_proc`] just pushed.
+    fn last_proc(&mut self) -> &mut ProcSave {
+        match self.records.last_mut() {
+            Some(Record::Proc(save)) => save,
+            _ => unreachable!("a memory save follows its process save"),
+        }
+    }
+
+    /// Add to the last record the slot a memory operation on `v` is
+    /// about to overwrite.
+    fn save_slot(&mut self, mem: &Memory, v: VarId) {
+        let slot = mem.save_slot(v, &mut self.words);
+        self.last_proc().mem = MemSave::Slot(slot);
+    }
+
+    /// Crash-invalidate `p`'s cache, adding the dropped entries to the
+    /// last record.
+    fn save_purge(&mut self, mem: &mut Memory, p: ProcId) {
+        mem.crash_invalidate_logged(p, Some(&mut self.words));
+        self.last_proc().mem = MemSave::Purged;
+    }
+
+    /// Push a snapshot of the whole world.
+    fn save_world(&mut self, sim: &Sim) {
+        match self.worlds.get_mut(self.live_worlds) {
+            Some(spare) => sim.clone_world_into(spare),
+            None => self.worlds.push(sim.clone_world()),
+        }
+        self.live_worlds += 1;
+        self.records.push(Record::World {
+            traced: sim.trace.is_some(),
+        });
+    }
+}
+
+impl fmt::Debug for UndoLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("UndoLog")
+            .field("events", &self.records.len())
+            .field("words", &self.words.len())
+            .finish()
     }
 }
 
@@ -1057,8 +1373,8 @@ mod tests {
         sim.step(ProcId(0));
         sim.step(ProcId(1));
 
-        // In-place copy into a same-shape world (the recycling-pool case):
-        // byte-for-byte the same observable state as a fresh clone.
+        // In-place copy into a same-shape world: byte-for-byte the same
+        // observable state as a fresh clone.
         let mut dst = world(&[Role::Reader, Role::Writer]);
         for _ in 0..3 {
             dst.step(ProcId(1)); // arbitrary divergence to overwrite
@@ -1082,6 +1398,47 @@ mod tests {
         assert_eq!(small.n_procs(), sim.n_procs());
         assert_eq!(small.fingerprint(), sim.fingerprint());
         assert_eq!(small.fingerprint(), small.fingerprint_full());
+    }
+
+    #[test]
+    fn undo_rolls_back_each_logged_event_and_its_trace_record() {
+        let mut sim = world(&[Role::Writer, Role::Reader]);
+        sim.set_tracing(true);
+        let mut log = UndoLog::new();
+        let flag = VarId(0);
+        sim.step_logged(ProcId(0), &mut log); // begin passage
+        sim.step_logged(ProcId(0), &mut log); // entry write: p0 owns `flag`
+        let (fp, stats, trace_len) = (sim.fingerprint(), sim.stats(ProcId(0)), 2);
+        assert!(sim.mem().cache(ProcId(0)).holds_exclusive(flag));
+
+        sim.crash_logged(ProcId(0), &mut log);
+        sim.undo(&mut log);
+        assert!(
+            sim.mem().cache(ProcId(0)).holds_exclusive(flag),
+            "line restored"
+        );
+        assert!(!sim.is_recovering(ProcId(0)));
+        assert_eq!((sim.fingerprint(), sim.stats(ProcId(0))), (fp, stats));
+
+        sim.crash_all_logged(&mut log);
+        assert!(sim.abort_logged(ProcId(1), &mut log).is_none(), "refused");
+        assert_eq!(log.len(), 4);
+        sim.undo(&mut log);
+        sim.undo(&mut log);
+        assert_eq!(sim.phase(ProcId(0)), Phase::Cs);
+        assert_eq!(sim.trace().unwrap().len(), trace_len);
+
+        sim.undo(&mut log);
+        sim.undo(&mut log);
+        assert!(log.is_empty());
+        assert_eq!(sim.total_steps(), 0);
+        assert_eq!(sim.mem().peek(flag), Value::Nil);
+        assert!(sim.mem().cache(ProcId(0)).is_empty());
+        assert!(sim.trace().unwrap().is_empty());
+        assert_eq!(
+            sim.fingerprint(),
+            world(&[Role::Writer, Role::Reader]).fingerprint()
+        );
     }
 
     #[test]

@@ -152,6 +152,11 @@ impl Trace {
         self.records.push(r);
     }
 
+    /// Drop the last record (an undone event's).
+    pub(crate) fn pop(&mut self) {
+        self.records.pop();
+    }
+
     /// All records, in schedule order.
     pub fn records(&self) -> &[StepRecord] {
         &self.records

@@ -17,13 +17,15 @@ fn sum_of(v: Value) -> i64 {
 }
 
 /// Shared-memory descriptor of a simulated `K`-process f-array counter:
-/// the variable ids of its tree nodes. Cheap to clone; every process of
-/// the group holds a clone inside its machines.
+/// the variable ids of its tree nodes. Plain data, so a clone is a copy
+/// of three words; every process of the group holds one inside its
+/// machines, and the model checker's undo log copies a stepped process.
 #[derive(Clone, Debug)]
 pub struct SimCounter {
     shape: TreeShape,
-    /// Heap-indexed node variables; slot 0 is a dummy.
-    nodes: Vec<VarId>,
+    /// The variable of heap slot 0 (a dummy); slot `x` is `base + x`,
+    /// as [`SimCounter::allocate`] allocates them consecutively.
+    base: VarId,
 }
 
 impl SimCounter {
@@ -34,7 +36,7 @@ impl SimCounter {
     /// Panics if `k == 0`.
     pub fn allocate(layout: &mut Layout, name: &str, k: usize) -> Self {
         let shape = TreeShape::new(k);
-        let mut nodes = Vec::with_capacity(shape.heap_len());
+        let mut base = None;
         for x in 0..shape.heap_len() {
             let init = if x == 0 {
                 Value::Nil // unused dummy slot
@@ -43,9 +45,14 @@ impl SimCounter {
             } else {
                 Value::Pair(0, 0)
             };
-            nodes.push(layout.var(format!("{name}.node[{x}]"), init));
+            let v = layout.var(format!("{name}.node[{x}]"), init);
+            let base = *base.get_or_insert(v);
+            assert_eq!(v.0, base.0 + x, "layout allocates variables consecutively");
         }
-        SimCounter { shape, nodes }
+        SimCounter {
+            shape,
+            base: base.expect("a tree has at least its dummy slot"),
+        }
     }
 
     /// Number of registered processes.
@@ -70,7 +77,7 @@ impl SimCounter {
     /// Start a `read` operation (any process may read).
     pub fn read(&self) -> ReadMachine {
         ReadMachine {
-            root: self.nodes[self.shape.root()],
+            root: self.var(self.shape.root()),
             done: None,
         }
     }
@@ -78,7 +85,7 @@ impl SimCounter {
     /// Inspect the counter's current value without simulating steps
     /// (test/assertion aid).
     pub fn peek(&self, mem: &Memory) -> i64 {
-        sum_of(mem.peek(self.nodes[self.shape.root()]))
+        sum_of(mem.peek(self.var(self.shape.root())))
     }
 
     /// The shared variable backing process `leaf`'s leaf — the location a
@@ -88,7 +95,7 @@ impl SimCounter {
     /// Panics if `leaf >= processes()`.
     pub fn leaf_var(&self, leaf: usize) -> VarId {
         assert!(leaf < self.shape.leaves(), "leaf {leaf} out of range");
-        self.nodes[self.shape.leaf(leaf)]
+        self.var(self.shape.leaf(leaf))
     }
 
     /// Are `a` and `b` sibling leaves (same parent node)? Sibling leaves
@@ -102,7 +109,8 @@ impl SimCounter {
     }
 
     fn var(&self, heap: usize) -> VarId {
-        self.nodes[heap]
+        debug_assert!(heap < self.shape.heap_len());
+        VarId(self.base.0 + heap)
     }
 }
 

@@ -37,7 +37,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use ccsim::{FxHasher, MutualExclusionViolation, Phase, ProcId, Sim, Step};
+use ccsim::{FxHasher, MutualExclusionViolation, Phase, ProcId, Sim, Step, UndoLog};
 use std::collections::hash_map::DefaultHasher;
 use std::error::Error;
 use std::fmt;
@@ -107,6 +107,25 @@ impl SchedEntry {
             }
             SchedEntry::Abort(p) => {
                 sim.abort(p);
+            }
+        }
+    }
+
+    /// Apply this entry to a world, logging what it overwrites to `log`
+    /// so that one [`Sim::undo`] rolls it back.
+    pub fn apply_logged(self, sim: &mut Sim, log: &mut UndoLog) {
+        match self {
+            SchedEntry::Step(p) => {
+                sim.step_logged(p, log);
+            }
+            SchedEntry::Crash(p) => {
+                sim.crash_logged(p, log);
+            }
+            SchedEntry::CrashAll => {
+                sim.crash_all_logged(log);
+            }
+            SchedEntry::Abort(p) => {
+                sim.abort_logged(p, log);
             }
         }
     }
@@ -188,16 +207,14 @@ pub enum Symmetry {
     /// found on concrete states — schedules, fingerprints, and replay
     /// artifacts are unaffected.
     Quotient,
-    /// The pre-optimization baseline: state keys from a from-scratch
-    /// SipHash walk over every variable and every process per visited
-    /// state, and a freshly allocated world per transition (no recycling
-    /// pool). Kept for two reasons: it is the honest baseline
-    /// `perf_modelcheck` measures the exploration speedup against —
-    /// exactly how the explorer behaved before the incremental
-    /// fingerprints and the world-recycling pool landed — and its keys
-    /// are an independent hash family: a run in each mode must report
-    /// identical [`CheckReport`] counts, which the determinism suite
-    /// uses as a cross-check oracle against fingerprint aliasing.
+    /// The pre-optimization key: a from-scratch SipHash walk over every
+    /// variable and every process per visited state. It explores exactly
+    /// like the other modes and differs only in this key. Kept for two
+    /// reasons: it is the baseline `perf_modelcheck` measures the
+    /// incremental keys against, and its keys are an independent hash
+    /// family: a run in each mode must report identical [`CheckReport`]
+    /// counts, which the determinism suite uses as a cross-check oracle
+    /// against fingerprint aliasing.
     FullRehash,
 }
 
@@ -614,9 +631,11 @@ pub fn explore_with(
     /// A suspended configuration. Its candidate entries live in the
     /// shared arena at `[next, eend)` (`estart` marks where they began,
     /// for truncation on pop) — frames own index ranges, not `Vec`s, so
-    /// expanding a state allocates nothing once the arena is warm.
+    /// expanding a state allocates nothing once the arena is warm. The
+    /// configuration itself is not stored: the explorer steps one world
+    /// forward and undoes its way back, so every frame but the root
+    /// stands for one event in the undo log.
     struct Frame {
-        sim: Sim,
         estart: usize,
         next: usize,
         eend: usize,
@@ -634,13 +653,12 @@ pub fn explore_with(
         sched
     }
 
-    let root = factory();
+    let mut sim = factory();
     let quota = cfg.passages_per_proc;
-    let full = cfg.symmetry == Symmetry::FullRehash;
     let root_budgets = Budgets::of(cfg);
     let visited = Visited::new(cfg.symmetry);
     let mut vscratch: Vec<u64> = Vec::new();
-    visited.insert(&root, quota, root_budgets, &mut vscratch);
+    visited.insert(&sim, quota, root_budgets, &mut vscratch);
 
     let mut report = CheckReport {
         states_explored: 1,
@@ -653,36 +671,30 @@ pub fn explore_with(
     };
 
     let mut arena: Vec<SchedEntry> = Vec::new();
-    push_entries(&root, quota, root_budgets, cfg.crash_in_cs, &mut arena);
+    push_entries(&sim, quota, root_budgets, cfg.crash_in_cs, &mut arena);
     if arena.is_empty() {
         report.terminal_states = 1;
         report.visited = visited.stats();
         return Ok(report);
     }
     let mut stack = vec![Frame {
-        sim: root,
         estart: 0,
         next: 0,
         eend: arena.len(),
         chosen: None,
         budgets: root_budgets,
     }];
-
-    // Popped and deduplicated worlds are recycled through this pool:
-    // `clone_world_into` overwrites a spare world in place, so steady-state
-    // branching allocates nothing (see `Sim::clone_world_into`). The
-    // `Symmetry::FullRehash` baseline keeps the pre-optimization
-    // discipline — a fresh allocation per transition — so the measured
-    // speedup reflects the whole optimization, not just the key function.
-    let mut pool: Vec<Sim> = Vec::new();
+    // `sim` is always the top frame's configuration, or, between
+    // applying an entry and deciding its fate, that configuration plus
+    // the entry (the last event in `log`).
+    let mut log = UndoLog::new();
 
     while let Some(top) = stack.last_mut() {
         if top.next >= top.eend {
             arena.truncate(top.estart);
-            if let Some(frame) = stack.pop() {
-                if !full {
-                    pool.push(frame.sim);
-                }
+            stack.pop();
+            if !stack.is_empty() {
+                sim.undo(&mut log); // back to the parent's configuration
             }
             continue;
         }
@@ -690,36 +702,27 @@ pub fn explore_with(
         top.next += 1;
         let budgets = top.budgets.after(entry);
 
-        let mut child = match pool.pop() {
-            Some(mut spare) => {
-                top.sim.clone_world_into(&mut spare);
-                spare
-            }
-            None => top.sim.clone_world(),
-        };
-        entry.apply(&mut child);
+        entry.apply_logged(&mut sim, &mut log);
         report.transitions += 1;
         report.crash_transitions += entry.is_crash() as u64;
 
-        if let Err(violation) = child.check_mutual_exclusion() {
+        if let Err(violation) = sim.check_mutual_exclusion() {
             return Err(CheckError::MutualExclusion {
                 schedule: schedule_of(&stack, entry),
                 violation,
-                fingerprint: child.fingerprint(),
+                fingerprint: sim.fingerprint(),
             });
         }
-        if let Err(message) = invariant(&child) {
+        if let Err(message) = invariant(&sim) {
             return Err(CheckError::Invariant {
                 schedule: schedule_of(&stack, entry),
                 message,
-                fingerprint: child.fingerprint(),
+                fingerprint: sim.fingerprint(),
             });
         }
 
-        if !visited.insert(&child, quota, budgets, &mut vscratch) {
-            if !full {
-                pool.push(child);
-            }
+        if !visited.insert(&sim, quota, budgets, &mut vscratch) {
+            sim.undo(&mut log);
             continue; // rejoined a known configuration
         }
         report.states_explored += 1;
@@ -727,23 +730,18 @@ pub fn explore_with(
 
         if report.states_explored >= cfg.max_states || stack.len() >= cfg.max_depth {
             report.complete = false;
-            if !full {
-                pool.push(child);
-            }
+            sim.undo(&mut log);
             continue; // stop deepening; keep scanning siblings
         }
 
         let estart = arena.len();
-        push_entries(&child, quota, budgets, cfg.crash_in_cs, &mut arena);
+        push_entries(&sim, quota, budgets, cfg.crash_in_cs, &mut arena);
         if arena.len() == estart {
             report.terminal_states += 1;
-            if !full {
-                pool.push(child);
-            }
+            sim.undo(&mut log);
             continue;
         }
         stack.push(Frame {
-            sim: child,
             estart,
             next: estart,
             eend: arena.len(),

@@ -6,11 +6,14 @@
 //! The unit of work is a **batched frame** ([`Job`]): a configuration
 //! (an owned [`Sim`]), the schedule prefix that reaches it, and a batch
 //! of candidate entries still to branch on from there. Workers run the
-//! same arena-based DFS as the sequential explorer over their job; when
-//! the shared queue runs low, a worker *donates* the bottom-most
-//! unexplored slice of its own stack as a fresh job (the stack-slicing
-//! scheme of parallel SPIN) — subtree-sized work units, handed out from
-//! the root end where they are biggest.
+//! same step-with-undo DFS as the sequential explorer over their job,
+//! on one world per worker that a job's root is copied into; when the
+//! shared queue runs low, a worker *donates* the bottom-most unexplored
+//! slice of its own stack as a fresh job (the stack-slicing scheme of
+//! parallel SPIN) — subtree-sized work units, handed out from the root
+//! end where they are biggest. The donated configuration is rebuilt by
+//! replaying the donor's frame entries on a copy of the donor's job
+//! root, so each job costs one world copy on each side.
 //!
 //! Deduplication goes through the shared [`crate::visited::Visited`]
 //! set — 64 mutex-striped shards selected by the top bits of the state
@@ -39,8 +42,8 @@
 //! Shrink/replay artifacts built from it are therefore reproducible.
 
 use crate::visited::Visited;
-use crate::{push_entries, Budgets, CheckConfig, CheckError, CheckReport, SchedEntry, Symmetry};
-use ccsim::Sim;
+use crate::{push_entries, Budgets, CheckConfig, CheckError, CheckReport, SchedEntry};
+use ccsim::{Sim, UndoLog};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -78,9 +81,6 @@ struct Shared<'a> {
     workers: usize,
     /// The visited set, keyed for [`CheckConfig::symmetry`].
     visited: Visited,
-    /// `cfg.symmetry == Symmetry::FullRehash`, cached: the baseline also
-    /// disables the world-recycling pool.
-    full: bool,
     queue: Mutex<VecDeque<Job>>,
     ready: Condvar,
     /// Jobs queued or currently being processed. Strictly positive while
@@ -151,9 +151,9 @@ impl Shared<'_> {
 }
 
 /// A worker-local DFS frame; identical discipline to the sequential
-/// explorer (entries live in a shared arena, truncated on pop).
+/// explorer (entries live in a shared arena, truncated on pop, and
+/// every frame but the root stands for one event in the undo log).
 struct WFrame {
-    sim: Sim,
     estart: usize,
     next: usize,
     eend: usize,
@@ -164,9 +164,12 @@ struct WFrame {
 /// Donate the bottom-most unexplored slice of the stack as a job, if
 /// any. Bottom frames hold the largest subtrees, so one donation moves a
 /// big chunk of work; the donor keeps one entry when the only spare work
-/// is on its top frame. Returns false if nothing was donatable.
+/// is on its top frame. The donated configuration is `root` with the
+/// frames' entries replayed on a copy. Returns false if nothing was
+/// donatable.
 fn donate(
     sh: &Shared<'_>,
+    root: &Sim,
     prefix: &[SchedEntry],
     stack: &mut [WFrame],
     arena: &[SchedEntry],
@@ -190,8 +193,12 @@ fn donate(
         f.chosen
             .expect("non-root frames always record their producing entry")
     }));
+    let mut sim = root.clone_world();
+    for &e in &jp[prefix.len()..] {
+        e.apply(&mut sim);
+    }
     let job = Job {
-        sim: stack[i].sim.clone_world(),
+        sim,
         prefix: jp,
         entries: arena[dstart..dend].to_vec(),
         budgets: stack[i].budgets,
@@ -201,28 +208,51 @@ fn donate(
     true
 }
 
+/// The scratch a worker reuses from job to job: its world, the undo
+/// log, the entry arena and the state-key buffer.
+#[derive(Default)]
+struct WorkerScratch {
+    sim: Option<Sim>,
+    log: UndoLog,
+    arena: Vec<SchedEntry>,
+    vscratch: Vec<u64>,
+}
+
 /// Run one job to exhaustion (or cancellation) with the sequential
-/// explorer's arena DFS, donating spare subtrees while the queue is
-/// hungry.
+/// explorer's step-with-undo DFS, donating spare subtrees while the
+/// queue is hungry.
 fn run_job(
     sh: &Shared<'_>,
     job: Job,
-    arena: &mut Vec<SchedEntry>,
-    pool: &mut Vec<Sim>,
-    vscratch: &mut Vec<u64>,
+    ws: &mut WorkerScratch,
     invariant: &(dyn Fn(&Sim) -> Result<(), String> + Sync),
     part: &mut Partial,
 ) {
     let Job {
-        sim,
+        sim: root,
         prefix,
         entries,
         budgets,
     } = job;
+    let WorkerScratch {
+        sim,
+        log,
+        arena,
+        vscratch,
+    } = ws;
+    let sim = match sim {
+        Some(w) => {
+            root.clone_world_into(w);
+            w
+        }
+        None => sim.insert(root.clone_world()),
+    };
+    // A job runs until its stack empties, undoing every event it
+    // logged; only a violation stops one early, and that ends the run.
+    debug_assert!(log.is_empty(), "the previous job left events logged");
     arena.clear();
     arena.extend_from_slice(&entries);
     let mut stack = vec![WFrame {
-        sim,
         estart: 0,
         next: 0,
         eend: arena.len(),
@@ -238,7 +268,7 @@ fn run_job(
         if cooldown > 0 {
             cooldown -= 1;
         } else if sh.qlen.load(Ordering::Relaxed) < sh.workers
-            && !donate(sh, &prefix, &mut stack, arena)
+            && !donate(sh, &root, &prefix, &mut stack, arena)
         {
             cooldown = DONATE_COOLDOWN;
         }
@@ -246,10 +276,9 @@ fn run_job(
         let top = stack.last_mut().expect("loop precondition");
         if top.next >= top.eend {
             arena.truncate(top.estart);
-            if let Some(frame) = stack.pop() {
-                if !sh.full {
-                    pool.push(frame.sim);
-                }
+            stack.pop();
+            if !stack.is_empty() {
+                sim.undo(log); // back to the parent's configuration
             }
             continue;
         }
@@ -257,34 +286,19 @@ fn run_job(
         top.next += 1;
         let budgets = top.budgets.after(entry);
 
-        // Recycle worlds through the worker-local pool: in steady state
-        // branching a configuration is an in-place copy, not a fresh
-        // allocation (see `Sim::clone_world_into`). In the
-        // `Symmetry::FullRehash` baseline the pool stays empty (nothing
-        // is ever recycled into it), preserving the pre-optimization
-        // allocation-per-transition behaviour the bench measures against.
-        let mut child = match pool.pop() {
-            Some(mut spare) => {
-                top.sim.clone_world_into(&mut spare);
-                spare
-            }
-            None => top.sim.clone_world(),
-        };
-        entry.apply(&mut child);
+        entry.apply_logged(sim, log);
         part.transitions += 1;
         part.crash_transitions += entry.is_crash() as u64;
 
-        if child.check_mutual_exclusion().is_err() || invariant(&child).is_err() {
+        if sim.check_mutual_exclusion().is_err() || invariant(sim).is_err() {
             // Don't report from here: the race winner is timing-dependent.
             // Flag and let the coordinator re-find the lowest schedule.
             sh.flag_violation();
             return;
         }
 
-        if !sh.visited.insert(&child, sh.quota, budgets, vscratch) {
-            if !sh.full {
-                pool.push(child);
-            }
+        if !sh.visited.insert(sim, sh.quota, budgets, vscratch) {
+            sim.undo(log);
             continue; // rejoined a known configuration
         }
         part.states += 1;
@@ -294,23 +308,18 @@ fn run_job(
         let total = sh.states.fetch_add(1, Ordering::Relaxed) + 1;
         if total >= sh.cfg.max_states || depth >= sh.cfg.max_depth {
             sh.capped.store(true, Ordering::Relaxed);
-            if !sh.full {
-                pool.push(child);
-            }
+            sim.undo(log);
             continue; // stop deepening; keep scanning siblings
         }
 
         let estart = arena.len();
-        push_entries(&child, sh.quota, budgets, sh.cfg.crash_in_cs, arena);
+        push_entries(sim, sh.quota, budgets, sh.cfg.crash_in_cs, arena);
         if arena.len() == estart {
             part.terminal += 1;
-            if !sh.full {
-                pool.push(child);
-            }
+            sim.undo(log);
             continue;
         }
         stack.push(WFrame {
-            sim: child,
             estart,
             next: estart,
             eend: arena.len(),
@@ -323,19 +332,9 @@ fn run_job(
 /// Worker main loop: drain jobs until global termination.
 fn worker(sh: &Shared<'_>, invariant: &(dyn Fn(&Sim) -> Result<(), String> + Sync)) -> Partial {
     let mut part = Partial::default();
-    let mut arena: Vec<SchedEntry> = Vec::new();
-    let mut pool: Vec<Sim> = Vec::new();
-    let mut vscratch: Vec<u64> = Vec::new();
+    let mut ws = WorkerScratch::default();
     while let Some(job) = sh.next_job() {
-        run_job(
-            sh,
-            job,
-            &mut arena,
-            &mut pool,
-            &mut vscratch,
-            invariant,
-            &mut part,
-        );
+        run_job(sh, job, &mut ws, invariant, &mut part);
         sh.job_done();
     }
     part
@@ -463,7 +462,6 @@ pub fn explore_par_with(
         quota,
         workers,
         visited: Visited::new(cfg.symmetry),
-        full: cfg.symmetry == Symmetry::FullRehash,
         queue: Mutex::new(VecDeque::new()),
         ready: Condvar::new(),
         pending: AtomicUsize::new(0),

@@ -190,10 +190,10 @@ pub struct AfReaderSim {
     recover: bool,
 }
 
-/// Manual `Clone` so `clone_from` (the model checker's recycling-pool hot
-/// path, see [`ccsim::Sim::clone_world_into`]) skips the `Arc` refcount
-/// round-trip when source and destination already share the same world —
-/// which the pool guarantees — leaving a plain field copy.
+/// Manual `Clone` so `clone_from` (the model checker's undo-log hot
+/// path, see [`ccsim::UndoLog`]) skips the `Arc` refcount round-trip
+/// when source and destination already share the same world — which a
+/// process's spare boxes always do — leaving a plain field copy.
 impl Clone for AfReaderSim {
     fn clone(&self) -> Self {
         AfReaderSim {
@@ -640,7 +640,7 @@ pub struct AfWriterSim {
 }
 
 /// Manual `Clone` for the same reason as [`AfReaderSim`]'s: `clone_from`
-/// in the model checker's recycling pool must not touch the shared-world
+/// in the model checker's undo log must not touch the shared-world
 /// `Arc` refcount when both sides already point at the same world.
 impl Clone for AfWriterSim {
     fn clone(&self) -> Self {

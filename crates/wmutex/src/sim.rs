@@ -23,9 +23,9 @@ pub struct SimTournament {
 }
 
 /// Manual `Clone` so `clone_from` reuses the node `Vec`'s allocation —
-/// every [`MutexClient`] carries a copy, and the model checker's
-/// recycling pool (see [`ccsim::Sim::clone_world_into`]) overwrites it
-/// millions of times per exploration.
+/// every [`MutexClient`] carries a copy, and the model checker's undo
+/// log (see [`ccsim::UndoLog`]) saves a stepped client into a spare box
+/// through `clone_from` millions of times per exploration.
 impl Clone for SimTournament {
     fn clone(&self) -> Self {
         SimTournament {
@@ -290,7 +290,7 @@ pub struct MutexClient {
 }
 
 /// Manual `Clone` forwarding `clone_from` to [`SimTournament`]'s
-/// allocation-reusing one (the recycling-pool hot path).
+/// allocation-reusing one (the undo log's hot path).
 impl Clone for MutexClient {
     fn clone(&self) -> Self {
         MutexClient {
@@ -323,8 +323,8 @@ enum ClientState {
 
 /// Manual `Clone` so same-variant `clone_from` reuses the contained
 /// machine's path `Vec` (processes spend most explored configurations
-/// mid-entry or mid-exit, so this is the common case in the recycling
-/// pool).
+/// mid-entry or mid-exit, so this is the common case when the undo log
+/// saves a stepped client).
 impl Clone for ClientState {
     fn clone(&self) -> Self {
         match self {
